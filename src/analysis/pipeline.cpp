@@ -2,6 +2,19 @@
 
 namespace tamper::analysis {
 
+namespace {
+
+// ScannerStats fields in checkpoint order (snapshot, restore, merge_from).
+constexpr std::array kScannerFields = {
+    &Pipeline::ScannerStats::connections,
+    &Pipeline::ScannerStats::no_tcp_options,
+    &Pipeline::ScannerStats::high_ttl,
+    &Pipeline::ScannerStats::syn_rst_matches,
+    &Pipeline::ScannerStats::syn_rst_zmap,
+};
+
+}  // namespace
+
 Pipeline::Pipeline(const world::World& world, core::ClassifierConfig classifier_config)
     : world_(world),
       classifier_(classifier_config),
@@ -41,36 +54,13 @@ void Pipeline::set_obs(obs::Registry* metrics, obs::Tracer* tracer,
   auto& degraded_family = metrics->counter_family(
       "tamper_pipeline_degraded_total",
       "Degraded-input events by cause (mirrors DegradedStats)", {"cause"});
-  struct CauseMirror {
-    obs::Counter* counter;
-    std::uint64_t DegradedStats::* field;
-  };
-  const std::vector<CauseMirror> mirrors = {
-      {&degraded_family.with({"empty_samples"}), &DegradedStats::empty_samples},
-      {&degraded_family.with({"ingest_errors"}), &DegradedStats::ingest_errors},
-      {&degraded_family.with({"malformed_packets"}), &DegradedStats::malformed_packets},
-      {&degraded_family.with({"overload_evicted"}), &DegradedStats::overload_evicted},
-      {&degraded_family.with({"unparseable_frames"}), &DegradedStats::unparseable_frames},
-      {&degraded_family.with({"oversize_frames"}), &DegradedStats::oversize_frames},
-      {&degraded_family.with({"truncated_frames"}), &DegradedStats::truncated_frames},
-      {&degraded_family.with({"queue_shed_embryonic"}),
-       &DegradedStats::queue_shed_embryonic},
-      {&degraded_family.with({"queue_shed_other"}), &DegradedStats::queue_shed_other},
-      {&degraded_family.with({"spool_replay_failures"}),
-       &DegradedStats::spool_replay_failures},
-      {&degraded_family.with({"spool_dropped"}), &DegradedStats::spool_dropped},
-      {&degraded_family.with({"admission_rate_limited"}),
-       &DegradedStats::admission_rate_limited},
-      {&degraded_family.with({"admission_sampled_down"}),
-       &DegradedStats::admission_sampled_down},
-      {&degraded_family.with({"admission_embryonic_shed"}),
-       &DegradedStats::admission_embryonic_shed},
-      {&degraded_family.with({"admission_rejected"}),
-       &DegradedStats::admission_rejected},
-  };
+  std::array<obs::Counter*, kDegradedCauses.size()> mirrors{};
+  for (std::size_t i = 0; i < mirrors.size(); ++i)
+    mirrors[i] = &degraded_family.with({std::string(kDegradedCauses[i].label)});
   obs_collector_ = metrics->add_collector([this, mirrors] {
     const DegradedStats d = degraded();
-    for (const CauseMirror& m : mirrors) m.counter->increment_to(d.*m.field);
+    for (std::size_t i = 0; i < mirrors.size(); ++i)
+      mirrors[i]->increment_to(d.*kDegradedCauses[i].field);
   });
 
   // Classification mirrors + trends bookkeeping. Registered here, written
@@ -268,28 +258,9 @@ void Pipeline::run(world::TrafficGenerator& generator, std::size_t connections) 
 void Pipeline::snapshot(common::BinWriter& w) const {
   {
     common::MutexLock lock(stats_mu_);
-    w.u64(degraded_.empty_samples);
-    w.u64(degraded_.ingest_errors);
-    w.u64(degraded_.malformed_packets);
-    w.u64(degraded_.overload_evicted);
-    w.u64(degraded_.unparseable_frames);
-    w.u64(degraded_.oversize_frames);
-    w.u64(degraded_.truncated_frames);
-    w.u64(degraded_.queue_shed_embryonic);
-    w.u64(degraded_.queue_shed_other);
-    w.u64(degraded_.spool_replay_failures);
-    w.u64(degraded_.spool_dropped);
-    w.u64(degraded_.admission_rate_limited);
-    w.u64(degraded_.admission_sampled_down);
-    w.u64(degraded_.admission_embryonic_shed);
-    w.u64(degraded_.admission_rejected);
+    for (const DegradedCause& cause : kDegradedCauses) w.u64(degraded_.*cause.field);
   }
-
-  w.u64(scanner_.connections);
-  w.u64(scanner_.no_tcp_options);
-  w.u64(scanner_.high_ttl);
-  w.u64(scanner_.syn_rst_matches);
-  w.u64(scanner_.syn_rst_zmap);
+  for (const auto field : kScannerFields) w.u64(scanner_.*field);
   w.i64(latest_ts_sec_);
 
   matrix_.snapshot(w);
@@ -305,28 +276,12 @@ void Pipeline::snapshot(common::BinWriter& w) const {
 void Pipeline::restore(common::BinReader& r) {
   {
     common::MutexLock lock(stats_mu_);
-    degraded_.empty_samples = r.u64();
-    degraded_.ingest_errors = r.u64();
-    degraded_.malformed_packets = r.u64();
-    degraded_.overload_evicted = r.u64();
-    degraded_.unparseable_frames = r.u64();
-    degraded_.oversize_frames = r.u64();
-    degraded_.truncated_frames = r.u64();
-    degraded_.queue_shed_embryonic = r.u64();
-    degraded_.queue_shed_other = r.u64();
-    degraded_.spool_replay_failures = r.u64();
-    degraded_.spool_dropped = r.u64();
-    degraded_.admission_rate_limited = r.u64();
-    degraded_.admission_sampled_down = r.u64();
-    degraded_.admission_embryonic_shed = r.u64();
-    degraded_.admission_rejected = r.u64();
+    for (const DegradedCause& cause : kDegradedCauses) degraded_.*cause.field = r.u64();
+    // A restored process reads fresh sources whose cumulative counters
+    // start at zero again; the delta baselines must follow.
+    last_ = {};
   }
-
-  scanner_.connections = r.u64();
-  scanner_.no_tcp_options = r.u64();
-  scanner_.high_ttl = r.u64();
-  scanner_.syn_rst_matches = r.u64();
-  scanner_.syn_rst_zmap = r.u64();
+  for (const auto field : kScannerFields) scanner_.*field = r.u64();
   latest_ts_sec_ = r.i64();
 
   matrix_.restore(r);
@@ -337,18 +292,6 @@ void Pipeline::restore(common::BinReader& r) {
   overlap_.restore(r);
   evidence_.restore(r);
   trends_.restore(r);
-
-  // A restored process reads fresh sources whose cumulative counters start
-  // at zero again; the delta baselines must follow.
-  {
-    common::MutexLock lock(stats_mu_);
-    last_reader_ = {};
-    last_sampler_ = {};
-    last_queue_ = {};
-    last_sink_replay_failures_ = 0;
-    last_spool_dropped_ = 0;
-    last_admission_ = {};
-  }
 }
 
 void Pipeline::merge_from(const Pipeline& other) {
@@ -358,28 +301,10 @@ void Pipeline::merge_from(const Pipeline& other) {
     // merge into each other), so the order cannot invert.
     common::MutexLock lock(stats_mu_);
     const DegradedStats od = other.degraded();
-    degraded_.empty_samples += od.empty_samples;
-    degraded_.ingest_errors += od.ingest_errors;
-    degraded_.malformed_packets += od.malformed_packets;
-    degraded_.overload_evicted += od.overload_evicted;
-    degraded_.unparseable_frames += od.unparseable_frames;
-    degraded_.oversize_frames += od.oversize_frames;
-    degraded_.truncated_frames += od.truncated_frames;
-    degraded_.queue_shed_embryonic += od.queue_shed_embryonic;
-    degraded_.queue_shed_other += od.queue_shed_other;
-    degraded_.spool_replay_failures += od.spool_replay_failures;
-    degraded_.spool_dropped += od.spool_dropped;
-    degraded_.admission_rate_limited += od.admission_rate_limited;
-    degraded_.admission_sampled_down += od.admission_sampled_down;
-    degraded_.admission_embryonic_shed += od.admission_embryonic_shed;
-    degraded_.admission_rejected += od.admission_rejected;
+    for (const DegradedCause& cause : kDegradedCauses)
+      degraded_.*cause.field += od.*cause.field;
   }
-
-  scanner_.connections += other.scanner_.connections;
-  scanner_.no_tcp_options += other.scanner_.no_tcp_options;
-  scanner_.high_ttl += other.scanner_.high_ttl;
-  scanner_.syn_rst_matches += other.scanner_.syn_rst_matches;
-  scanner_.syn_rst_zmap += other.scanner_.syn_rst_zmap;
+  for (const auto field : kScannerFields) scanner_.*field += other.scanner_.*field;
   if (other.latest_ts_sec_ > latest_ts_sec_) latest_ts_sec_ = other.latest_ts_sec_;
 
   matrix_.merge(other.matrix_);

@@ -30,7 +30,10 @@ inline constexpr char kCheckpointMagic[8] = {'T', 'S', 'C', 'K', 'P', 'T', '0', 
 // overload-control admission counters and spool_dropped. v4: Pipeline
 // serializes the trends epoch ring (obs/timeseries.h), so longitudinal
 // history survives crash-resume. Older images are refused, not migrated:
-// checkpoints are short-lived operational state, not archives.
+// checkpoints are short-lived operational state, not archives. The degraded
+// counters are written in analysis::kDegradedCauses row order, the one
+// place a cause is declared: a new, removed or reordered row is a version
+// bump here (and in the fleet partial, which carries the same payload).
 inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 struct CheckpointMeta {

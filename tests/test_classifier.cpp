@@ -402,6 +402,13 @@ struct SignatureCase {
   std::vector<ObservedPacket> packets;
 };
 
+// gtest's fallback printer dumps the raw object bytes (padding and heap
+// pointers), and gtest_discover_tests puts the printed value into the ctest
+// name, so without this the names change from run to run.
+void PrintTo(const SignatureCase& param, std::ostream* os) {
+  *os << ascii_name(param.expected);
+}
+
 class AllSignatures : public ::testing::TestWithParam<SignatureCase> {};
 
 TEST_P(AllSignatures, RecognizedShuffled) {

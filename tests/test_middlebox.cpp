@@ -95,11 +95,18 @@ RunResult run_preset(const std::string& preset, bool http = false,
   return out;
 }
 
+// gtest_discover_tests names each case after gtest's byte dump of the param.
+// The enum leads the layout so that dump starts with a fixed byte rather
+// than a string-literal address, which moves whenever the link layout does.
 struct PresetCase {
-  const char* preset;
+  PresetCase(const char* preset_name, core::Signature expected_sig, bool use_http = false,
+             int segment_count = 1)
+      : expected(expected_sig), http(use_http), segments(segment_count), preset(preset_name) {}
+
   core::Signature expected;
-  bool http = false;
-  int segments = 1;
+  bool http;
+  int segments;
+  const char* preset;
 };
 
 class CatalogGroundTruth : public ::testing::TestWithParam<PresetCase> {};

@@ -454,21 +454,12 @@ TEST(ObsService, ChaosDegradationCountersAgreeWithDegradedStats) {
 
   const std::string text = reg.prometheus_text();  // runs the mirrors
   const analysis::DegradedStats d = svc.pipeline().degraded();
-  const auto cause = [&](const char* c) {
-    return sample_value(text,
-                        std::string("tamper_pipeline_degraded_total{cause=\"") +
-                            c + "\"}");
-  };
-  EXPECT_EQ(cause("empty_samples"), static_cast<double>(d.empty_samples));
-  EXPECT_EQ(cause("ingest_errors"), static_cast<double>(d.ingest_errors));
-  EXPECT_EQ(cause("malformed_packets"), static_cast<double>(d.malformed_packets));
-  EXPECT_EQ(cause("overload_evicted"), static_cast<double>(d.overload_evicted));
-  EXPECT_EQ(cause("unparseable_frames"), static_cast<double>(d.unparseable_frames));
-  EXPECT_EQ(cause("oversize_frames"), static_cast<double>(d.oversize_frames));
-  EXPECT_EQ(cause("truncated_frames"), static_cast<double>(d.truncated_frames));
-  EXPECT_EQ(cause("queue_shed_embryonic"),
-            static_cast<double>(d.queue_shed_embryonic));
-  EXPECT_EQ(cause("queue_shed_other"), static_cast<double>(d.queue_shed_other));
+  for (const analysis::DegradedCause& cause : analysis::kDegradedCauses) {
+    SCOPED_TRACE(std::string(cause.label));
+    EXPECT_EQ(sample_value(text, "tamper_pipeline_degraded_total{cause=\"" +
+                                     std::string(cause.label) + "\"}"),
+              static_cast<double>(d.*cause.field));
+  }
 
   // Single bookkeeping path: the registry counters ARE the RunSummary.
   EXPECT_EQ(sample_value(text, "tamper_worker_crashes_total"),

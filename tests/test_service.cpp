@@ -212,6 +212,108 @@ TEST(PipelineStats, QueueShedsLandInDegradedStats) {
   EXPECT_GE(pipeline.degraded().total(), 8u);
 }
 
+// The coverage_loss() member set, spelled out by cause name: every cause but
+// the four noise/delivery ones (empty, malformed, spool_*).
+TEST(PipelineStats, CoverageLossIsExactlyElevenCauses) {
+  analysis::DegradedStats d;
+  std::uint64_t bit = 1;
+  for (std::uint64_t* field :
+       {&d.empty_samples, &d.ingest_errors, &d.malformed_packets, &d.overload_evicted,
+        &d.unparseable_frames, &d.oversize_frames, &d.truncated_frames,
+        &d.queue_shed_embryonic, &d.queue_shed_other, &d.spool_replay_failures,
+        &d.spool_dropped, &d.admission_rate_limited, &d.admission_sampled_down,
+        &d.admission_embryonic_shed, &d.admission_rejected}) {
+    *field = bit;
+    bit <<= 1;
+  }
+  EXPECT_EQ(d.total(), (std::uint64_t{1} << 15) - 1);
+  const std::uint64_t noise =
+      d.empty_samples | d.malformed_packets | d.spool_replay_failures | d.spool_dropped;
+  EXPECT_EQ(d.coverage_loss(), d.total() & ~noise);
+}
+
+// Pins the checkpoint-v4 layout of the degraded accounting: Pipeline::snapshot
+// opens with 15 little-endian u64 cause counters in declaration order. Every
+// cause a source can reach gets a distinct value; ingest_errors (an exception
+// inside classification) stays 0.
+TEST(PipelineStats, SnapshotLeadsWithFifteenCauseCountersInOrder) {
+  const auto v = [](std::uint64_t k) { return (k << 56) | (k << 24) | k; };
+  analysis::Pipeline pipeline(shared_world());
+  pipeline.ingest(capture::ConnectionSample{});  // no packets: an empty sample
+  pipeline.ingest(capture::ConnectionSample{});
+  capture::ConnectionSampler::Stats ss;
+  ss.packets_malformed = v(3);
+  ss.flows_evicted_overload = v(4);
+  pipeline.record_sampler_stats(ss);
+  net::PcapReader::Stats rs;
+  rs.skipped_unparseable = v(5);
+  rs.skipped_oversize = v(6);
+  rs.skipped_truncated = v(7);
+  pipeline.record_reader_stats(rs);
+  common::BoundedQueueStats qs;
+  qs.shed_low_value = v(8);
+  qs.shed_other = v(9);
+  pipeline.record_queue_stats(qs);
+  pipeline.record_sink_stats(v(10), v(11));
+  pipeline.record_overload_stats(v(12), v(13), v(14), v(15));
+
+  std::vector<std::uint8_t> expected;
+  for (const std::uint64_t value : {std::uint64_t{2}, std::uint64_t{0}, v(3), v(4), v(5),
+                                    v(6), v(7), v(8), v(9), v(10), v(11), v(12), v(13),
+                                    v(14), v(15)})
+    for (int byte = 0; byte < 8; ++byte)
+      expected.push_back(static_cast<std::uint8_t>(value >> (8 * byte)));
+
+  common::BinWriter w;
+  pipeline.snapshot(w);
+  ASSERT_GE(w.bytes().size(), expected.size());
+  EXPECT_EQ(std::vector<std::uint8_t>(w.bytes().begin(),
+                                      w.bytes().begin() + std::ssize(expected)),
+            expected);
+}
+
+// Every row of the cause table reaches the Radar JSON, merges by addition
+// and round-trips through snapshot/restore. Row i is set by patching the
+// i-th counter of an empty pipeline's snapshot (the layout pinned above).
+TEST(PipelineStats, EveryDegradedCauseReachesReportMergeAndCheckpoint) {
+  common::BinWriter blank;
+  analysis::Pipeline(shared_world()).snapshot(blank);
+  for (std::size_t i = 0; i < analysis::kDegradedCauses.size(); ++i) {
+    const analysis::DegradedCause& cause = analysis::kDegradedCauses[i];
+    SCOPED_TRACE(std::string(cause.label));
+    const std::uint64_t value = 1000 + i;
+    std::vector<std::uint8_t> image = blank.bytes();
+    for (std::size_t byte = 0; byte < 8; ++byte)
+      image[8 * i + byte] = static_cast<std::uint8_t>(value >> (8 * byte));
+
+    analysis::Pipeline pipeline(shared_world());
+    common::BinReader reader(image);
+    pipeline.restore(reader);
+    EXPECT_EQ(pipeline.degraded().*cause.field, value);
+    EXPECT_EQ(pipeline.degraded().total(), value);
+    EXPECT_EQ(pipeline.degraded().coverage_loss(), cause.coverage_loss ? value : 0);
+
+    common::BinWriter again;
+    pipeline.snapshot(again);
+    EXPECT_EQ(again.bytes(), image);
+
+    analysis::Pipeline merged(shared_world());
+    common::BinReader merged_reader(image);
+    merged.restore(merged_reader);
+    merged.merge_from(pipeline);
+    EXPECT_EQ(merged.degraded().*cause.field, 2 * value);
+    EXPECT_EQ(merged.degraded().total(), 2 * value);
+
+    std::ostringstream out;
+    analysis::write_radar_report(out, pipeline);
+    const std::string json = out.str();
+    const std::string n = std::to_string(value);
+    EXPECT_NE(json.find("\"" + std::string(cause.radar_key()) + "\": " + n),
+              std::string::npos);
+    EXPECT_NE(json.find("\"total\": " + n), std::string::npos);
+  }
+}
+
 // ----------------------------------------------------------- checkpoint --
 
 TEST(Checkpoint, SaveRestoreSaveIsByteStable) {
@@ -423,11 +525,11 @@ TEST(ReportEmitter, UnreadableSpoolEntryIsCountedAndQuarantined) {
 
 TEST(PipelineStats, SinkReplayFailuresLandInDegradedStats) {
   analysis::Pipeline pipeline(shared_world());
-  pipeline.record_sink_stats(3);
+  pipeline.record_sink_stats(3, 0);
   EXPECT_EQ(pipeline.degraded().spool_replay_failures, 3u);
-  pipeline.record_sink_stats(3);  // same snapshot twice counts once
+  pipeline.record_sink_stats(3, 0);  // same snapshot twice counts once
   EXPECT_EQ(pipeline.degraded().spool_replay_failures, 3u);
-  pipeline.record_sink_stats(5);  // only the delta is added
+  pipeline.record_sink_stats(5, 0);  // only the delta is added
   EXPECT_EQ(pipeline.degraded().spool_replay_failures, 5u);
   EXPECT_GE(pipeline.degraded().total(), 5u);
 
