@@ -23,6 +23,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -36,9 +37,11 @@
 #include "common/bounded_queue.h"
 #include "common/json.h"
 #include "core/classifier.h"
+#include "fleet/partial.h"
 #include "net/pcap.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "service/checkpoint.h"
 #include "world/traffic.h"
 
 using namespace tamper;
@@ -278,6 +281,60 @@ void BM_PipelineIngestTraced(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_PipelineIngestTraced);
+
+// The state path of the cost ledger (ROADMAP aim 1): snapshot -> decode ->
+// fold, i.e. what every checkpoint, every fleet partial and every merger
+// delivery pays. All three rows run over one seeded 50k-sample pipeline,
+// built once on first use.
+const analysis::Pipeline& state_pipeline() {
+  static const std::unique_ptr<analysis::Pipeline> kPipeline = [] {
+    auto pipeline = std::make_unique<analysis::Pipeline>(bench_world());
+    world::TrafficConfig traffic;
+    traffic.seed = 11;
+    world::TrafficGenerator generator(bench_world(), traffic);
+    generator.generate(50'000, [&](world::LabeledConnection&& conn) {
+      pipeline->ingest(conn.sample);
+    });
+    return pipeline;
+  }();
+  return *kPipeline;
+}
+
+void BM_CheckpointEncode(benchmark::State& state) {
+  const analysis::Pipeline& pipeline = state_pipeline();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::vector<std::uint8_t> image = service::encode_checkpoint(pipeline, {});
+    bytes = image.size();
+    benchmark::DoNotOptimize(image.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * bytes));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CheckpointEncode)->Unit(benchmark::kMillisecond);
+
+void BM_PartialDecode(benchmark::State& state) {
+  const std::string partial = fleet::encode_partial(fleet::PartialHeader{}, state_pipeline());
+  for (auto _ : state) {
+    analysis::Pipeline pipeline(bench_world());
+    const fleet::DecodeResult result = fleet::decode_partial(partial, pipeline);
+    if (!result.ok) state.SkipWithError(result.error.c_str());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * partial.size()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PartialDecode)->Unit(benchmark::kMillisecond);
+
+void BM_PipelineMergeFrom(benchmark::State& state) {
+  const analysis::Pipeline& pipeline = state_pipeline();
+  for (auto _ : state) {
+    analysis::Pipeline merged(bench_world());
+    merged.merge_from(pipeline);
+    benchmark::DoNotOptimize(merged.signatures().total_connections());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PipelineMergeFrom)->Unit(benchmark::kMillisecond);
 
 // The service queue sits on the hot path between capture and analysis, so
 // its per-item cost under producer contention is a first-class number.

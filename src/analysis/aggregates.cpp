@@ -1,6 +1,23 @@
+// Checkpoint serialization writes every aggregate in a canonical order, so
+// a snapshot is a pure function of the counts: save -> restore -> save is
+// byte-identical (tests/test_service.cpp pins the bytes). The order comes
+// from the layouts, in linear passes with no per-key lookup and no string
+// copies:
+//   * SignatureMatrix, AsnAggregator, TimeSeries and
+//     VersionProtocolAggregator are ordered maps, written as they iterate.
+//   * OverlapMatrix collects the (key, state) pairs of its flat table and
+//     radix-sorts them by key.
+//   * CategoryAggregator interns each domain and country once, keeps one
+//     entry per (country, domain) with both counts, and sorts each
+//     country's entries by the integer rank of the domain name. The name
+//     order is extended only at snapshot time, by merging in the names
+//     interned since the last snapshot.
 #include "analysis/aggregates.h"
 
 #include <algorithm>
+#include <array>
+#include <numeric>
+#include <utility>
 
 #include "common/rng.h"
 
@@ -8,37 +25,20 @@ namespace tamper::analysis {
 
 namespace {
 
-// Checkpoint serialization writes map-like state in sorted key order, so a
-// snapshot is a pure function of the aggregate counts: save -> restore ->
-// save is byte-identical even for unordered containers (the golden-file
-// test in tests/test_service.cpp pins this).
-template <typename Map>
-std::vector<typename Map::key_type> sorted_keys(const Map& m) {
-  std::vector<typename Map::key_type> keys;
-  keys.reserve(m.size());
-  for (const auto& [k, v] : m) keys.push_back(k);
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
-void write_domain_counts(common::BinWriter& w,
-                         const std::unordered_map<std::string, std::uint64_t>& m) {
-  w.u64(m.size());
-  for (const auto& domain : sorted_keys(m)) {
-    w.str(domain);
-    w.u64(m.at(domain));
+/// LSD radix sort of (key, value) pairs by key: eight byte-wide counting
+/// passes, each a sequential read and a scatter into 256 runs.
+void radix_sort_by_key(std::vector<std::pair<std::uint64_t, std::uint64_t>>& v) {
+  std::array<std::array<std::size_t, 256>, 8> offsets{};
+  for (const auto& [key, value] : v)
+    for (std::size_t d = 0; d < 8; ++d) ++offsets[d][(key >> (8 * d)) & 0xff];
+  for (auto& counts : offsets) {
+    std::size_t sum = 0;
+    for (std::size_t& c : counts) sum += std::exchange(c, sum);
   }
-}
-
-void read_domain_counts(common::BinReader& r,
-                        std::unordered_map<std::string, std::uint64_t>& m) {
-  const std::uint64_t n = r.u64();
-  // Element count is validated by the per-element reads (BinUnderrun on a
-  // short payload); only the pre-reservation is clamped against hostile n.
-  m.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(n, 1u << 20)));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    std::string domain = r.str();
-    m[std::move(domain)] = r.u64();
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> out(v.size());
+  for (std::size_t d = 0; d < 8; ++d) {
+    for (const auto& pair : v) out[offsets[d][(pair.first >> (8 * d)) & 0xff]++] = pair;
+    v.swap(out);
   }
 }
 
@@ -374,48 +374,98 @@ void VersionProtocolAggregator::restore(common::BinReader& r) {
 
 // ---- CategoryAggregator ----
 
+std::vector<std::uint32_t> CategoryAggregator::name_ranks() const {
+  const auto by_name = [this](NameId a, NameId b) { return names_.name(a) < names_.name(b); };
+  common::MutexLock lock(order_mu_);
+  const std::size_t sorted = by_name_.size();
+  by_name_.resize(names_.size());
+  const auto newer = by_name_.begin() + static_cast<std::ptrdiff_t>(sorted);
+  std::iota(newer, by_name_.end(), static_cast<NameId>(sorted));
+  std::sort(newer, by_name_.end(), by_name);
+  std::inplace_merge(by_name_.begin(), newer, by_name_.end(), by_name);
+  std::vector<std::uint32_t> rank(names_.size());
+  for (std::uint32_t i = 0; i < by_name_.size(); ++i) rank[by_name_[i]] = i;
+  return rank;
+}
+
+CategoryAggregator::CountryData& CategoryAggregator::country(std::string_view cc) {
+  const std::uint32_t id = country_ids_.intern(cc);
+  if (id == by_country_.size()) by_country_.emplace_back();
+  return by_country_[id];
+}
+
+const CategoryAggregator::CountryData* CategoryAggregator::find_country(
+    std::string_view cc) const {
+  const auto id = country_ids_.find(cc);
+  return id ? &by_country_[*id] : nullptr;
+}
+
+std::vector<std::uint32_t> CategoryAggregator::country_order() const {
+  std::vector<std::uint32_t> order(by_country_.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [this](std::uint32_t a, std::uint32_t b) {
+    return country_ids_.name(a) < country_ids_.name(b);
+  });
+  return order;
+}
+
+void CategoryAggregator::mark(CountryData& data, DomainCounts& counts, std::uint8_t bit) {
+  if ((counts.present & bit) != 0) return;
+  counts.present |= bit;
+  ++(bit == kInSeen ? data.seen_entries : data.tampered_entries);
+}
+
 void CategoryAggregator::add(const ConnectionRecord& record) {
   if (!record.domain) return;
-  CountryData& data = by_country_[record.country];
-  ++data.seen_by_domain[*record.domain];
+  const NameId id = names_.intern(*record.domain);
+  CountryData& data = country(record.country);
+  DomainCounts& counts = *data.by_domain.try_emplace(id, {}).first;
+  mark(data, counts, kInSeen);
+  ++counts.seen;
   // "Post-PSH tampering" in the Table 2/3 sense: the trigger content was
   // visible to us, i.e. the signature fired at or after the first data
   // packet (Post-PSH and Post-Data stages).
   const auto& c = record.classification;
   if (c.signature && (core::stage_of(*c.signature) == core::Stage::kPostPsh ||
-                      core::stage_of(*c.signature) == core::Stage::kPostData))
-    ++data.tampered_by_domain[*record.domain];
+                      core::stage_of(*c.signature) == core::Stage::kPostData)) {
+    mark(data, counts, kInTampered);
+    ++counts.tampered;
+  }
 }
 
 std::map<world::Category, CategoryAggregator::CategoryStats>
 CategoryAggregator::country_stats(const std::string& cc,
                                   std::uint64_t domain_threshold) const {
   std::map<world::Category, CategoryStats> out;
-  const auto it = by_country_.find(cc);
-  if (it == by_country_.end()) return out;
-  for (const auto& [domain, seen] : it->second.seen_by_domain) {
+  const CountryData* data = find_country(cc);
+  if (data == nullptr) return out;
+  data->by_domain.for_each([&](NameId id, const DomainCounts& counts) {
+    const bool seen = (counts.present & kInSeen) != 0;
+    const bool tampered =
+        (counts.present & kInTampered) != 0 && counts.tampered >= domain_threshold;
+    if (!seen && !tampered) return;
+    const std::string domain(names_.name(id));
     const auto category = lookup_(domain);
-    if (!category) continue;
-    out[*category].seen_domains.insert(domain);
-  }
-  for (const auto& [domain, tampered] : it->second.tampered_by_domain) {
-    if (tampered < domain_threshold) continue;
-    const auto category = lookup_(domain);
-    if (!category) continue;
+    if (!category) return;
     CategoryStats& stats = out[*category];
-    stats.tampered_connections += tampered;
-    stats.tampered_domains.insert(domain);
-  }
+    if (seen) stats.seen_domains.insert(domain);
+    if (tampered) {
+      stats.tampered_connections += counts.tampered;
+      stats.tampered_domains.insert(domain);
+    }
+  });
   return out;
 }
 
 std::vector<std::string> CategoryAggregator::tampered_domains(
     const std::string& cc, std::uint64_t domain_threshold) const {
   std::vector<std::string> out;
-  const auto it = by_country_.find(cc);
-  if (it == by_country_.end()) return out;
-  for (const auto& [domain, tampered] : it->second.tampered_by_domain)
-    if (tampered >= domain_threshold) out.push_back(domain);
+  const CountryData* data = find_country(cc);
+  if (data == nullptr) return out;
+  data->by_domain.for_each([&](NameId id, const DomainCounts& counts) {
+    if ((counts.present & kInTampered) != 0 && counts.tampered >= domain_threshold)
+      out.emplace_back(names_.name(id));
+  });
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -423,37 +473,87 @@ std::vector<std::string> CategoryAggregator::tampered_domains(
 std::vector<std::string> CategoryAggregator::countries() const {
   std::vector<std::string> out;
   out.reserve(by_country_.size());
-  for (const auto& [cc, data] : by_country_) out.push_back(cc);
+  for (const std::uint32_t c : country_order()) out.emplace_back(country_ids_.name(c));
   return out;
 }
 
 void CategoryAggregator::merge(const CategoryAggregator& other) {
-  for (const auto& [cc, data] : other.by_country_) {
-    CountryData& mine = by_country_[cc];
-    for (const auto& [domain, n] : data.tampered_by_domain)
-      mine.tampered_by_domain[domain] += n;
-    for (const auto& [domain, n] : data.seen_by_domain)
-      mine.seen_by_domain[domain] += n;
+  // Their ids -> ours, interned once per domain rather than once per entry.
+  constexpr NameId kUnmapped = ~NameId{0};
+  std::vector<NameId> ours(other.names_.size(), kUnmapped);
+  for (std::uint32_t c = 0; c < other.by_country_.size(); ++c) {
+    CountryData& mine = country(other.country_ids_.name(c));
+    other.by_country_[c].by_domain.for_each([&](NameId their_id, const DomainCounts& counts) {
+      NameId& id = ours[their_id];
+      if (id == kUnmapped) id = names_.intern(other.names_.name(their_id));
+      DomainCounts& sum = *mine.by_domain.try_emplace(id, {}).first;
+      sum.tampered += counts.tampered;
+      sum.seen += counts.seen;
+      if ((counts.present & kInTampered) != 0) mark(mine, sum, kInTampered);
+      if ((counts.present & kInSeen) != 0) mark(mine, sum, kInSeen);
+    });
   }
 }
 
 void CategoryAggregator::snapshot(common::BinWriter& w) const {
+  struct Entry {
+    std::uint32_t rank;
+    NameId id;
+    const DomainCounts* counts;
+  };
+  const std::vector<std::uint32_t> rank = name_ranks();
+  std::vector<Entry> entries;
   w.u64(by_country_.size());
-  for (const auto& [cc, data] : by_country_) {
-    w.str(cc);
-    write_domain_counts(w, data.tampered_by_domain);
-    write_domain_counts(w, data.seen_by_domain);
+  for (const std::uint32_t c : country_order()) {
+    const CountryData& data = by_country_[c];
+    w.str(country_ids_.name(c));
+    entries.clear();
+    data.by_domain.for_each([&](NameId id, const DomainCounts& counts) {
+      entries.push_back({rank[id], id, &counts});
+    });
+    std::sort(entries.begin(), entries.end(),
+              [](const Entry& a, const Entry& b) { return a.rank < b.rank; });
+    w.u64(data.tampered_entries);
+    for (const Entry& e : entries) {
+      if ((e.counts->present & kInTampered) == 0) continue;
+      w.str(names_.name(e.id));
+      w.u64(e.counts->tampered);
+    }
+    w.u64(data.seen_entries);
+    for (const Entry& e : entries) {
+      if ((e.counts->present & kInSeen) == 0) continue;
+      w.str(names_.name(e.id));
+      w.u64(e.counts->seen);
+    }
   }
 }
 
 void CategoryAggregator::restore(common::BinReader& r) {
-  by_country_.clear();  // lookup_ is config, not state: keep it
+  // lookup_ is config, not state: keep it.
+  {
+    common::MutexLock lock(order_mu_);
+    by_name_.clear();
+  }
+  names_.clear();
+  country_ids_.clear();
+  by_country_.clear();
+  // Map-assignment semantics: a duplicated domain keeps its last value.
+  const auto read_block = [&](CountryData& data, std::uint8_t bit) {
+    const std::uint64_t n = r.u64();
+    data.by_domain.reserve(data.by_domain.size() + r.reservable(n, 16));
+    for (std::uint64_t i = 0; i < n; ++i) {
+      const NameId id = names_.intern(r.str_view());
+      const std::uint64_t count = r.u64();
+      DomainCounts& counts = *data.by_domain.try_emplace(id, {}).first;
+      (bit == kInSeen ? counts.seen : counts.tampered) = count;
+      mark(data, counts, bit);
+    }
+  };
   const std::uint64_t countries = r.u64();
   for (std::uint64_t i = 0; i < countries; ++i) {
-    std::string cc = r.str();
-    CountryData& data = by_country_[std::move(cc)];
-    read_domain_counts(r, data.tampered_by_domain);
-    read_domain_counts(r, data.seen_by_domain);
+    CountryData& data = country(r.str_view());
+    read_block(data, kInTampered);
+    read_block(data, kInSeen);
   }
 }
 
@@ -463,26 +563,32 @@ void OverlapMatrix::add(const ConnectionRecord& record) {
   if (!record.domain) return;
   const common::FlowId key(
       common::mix64(record.client_ip_hash ^ common::fnv1a(*record.domain)));
-  const std::size_t state = state_of(record.classification);
-  const auto [it, inserted] = first_state_.try_emplace(key, state);
-  if (inserted) return;                 // first observation of this pair
-  matrix_[it->second][state] += 1;      // (first, next) transition
+  const auto state = static_cast<std::uint8_t>(state_of(record.classification));
+  const auto [first, inserted] = first_state_.try_emplace(key.value(), state);
+  if (inserted) return;          // first observation of this pair
+  matrix_[*first][state] += 1;   // (first, next) transition
 }
 
 void OverlapMatrix::merge(const OverlapMatrix& other) {
-  for (const auto& [key, state] : other.first_state_) {
-    const auto [it, inserted] = first_state_.try_emplace(key, state);
-    if (!inserted && state < it->second) it->second = state;
-  }
+  other.first_state_.for_each([&](std::uint64_t key, std::uint8_t state) {
+    const auto [first, inserted] = first_state_.try_emplace(key, state);
+    if (!inserted && state < *first) *first = state;
+  });
   for (std::size_t i = 0; i < kStates; ++i)
     for (std::size_t j = 0; j < kStates; ++j) matrix_[i][j] += other.matrix_[i][j];
 }
 
 void OverlapMatrix::snapshot(common::BinWriter& w) const {
-  w.u64(first_state_.size());
-  for (const common::FlowId key : sorted_keys(first_state_)) {
-    w.u64(key.value());
-    w.u64(first_state_.at(key));
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs;
+  pairs.reserve(first_state_.size());
+  first_state_.for_each(
+      [&](std::uint64_t key, std::uint8_t state) { pairs.emplace_back(key, state); });
+  radix_sort_by_key(pairs);
+  w.reserve(8 + 16 * pairs.size() + 8 * kStates * kStates);
+  w.u64(pairs.size());
+  for (const auto& [key, state] : pairs) {
+    w.u64(key);
+    w.u64(state);
   }
   for (const auto& row : matrix_)
     for (std::uint64_t v : row) w.u64(v);
@@ -491,11 +597,13 @@ void OverlapMatrix::snapshot(common::BinWriter& w) const {
 void OverlapMatrix::restore(common::BinReader& r) {
   first_state_.clear();
   const std::uint64_t pairs = r.u64();
-  first_state_.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(pairs, 1u << 20)));
+  first_state_.reserve(r.reservable(pairs, 16));
   for (std::uint64_t i = 0; i < pairs; ++i) {
-    const common::FlowId key(r.u64());
+    const std::uint64_t key = r.u64();
     // States index matrix_ rows; clamp so no payload can yield OOB writes.
-    first_state_[key] = static_cast<std::size_t>(std::min<std::uint64_t>(r.u64(), kStates - 1));
+    // A duplicated key keeps its last state.
+    const auto state = static_cast<std::uint8_t>(std::min<std::uint64_t>(r.u64(), kStates - 1));
+    *first_state_.try_emplace(key, state).first = state;
   }
   for (auto& row : matrix_)
     for (std::uint64_t& v : row) v = r.u64();

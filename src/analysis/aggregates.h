@@ -18,12 +18,14 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "analysis/record.h"
 #include "common/ids.h"
 #include "common/binio.h"
+#include "common/flat_table.h"
+#include "common/mutex.h"
 #include "core/signature.h"
 #include "world/category.h"
 
@@ -182,9 +184,6 @@ class CategoryAggregator {
     std::set<std::string> tampered_domains;
     std::set<std::string> seen_domains;  ///< all domains requested, tampered or not
   };
-  struct DomainCount {
-    std::uint64_t tampered = 0;
-  };
 
   /// Apply the paper's >=100-matches-per-domain confidence threshold and
   /// return per-category stats for one country.
@@ -199,18 +198,51 @@ class CategoryAggregator {
   /// and never merged).
   void merge(const CategoryAggregator& other);
 
-  /// Serializes the per-domain maps only; the category lookup is config,
-  /// re-injected by whoever constructs the restoring aggregator.
+  /// Serializes the per-domain counts only; the category lookup is config,
+  /// re-injected by whoever constructs the restoring aggregator. Per
+  /// country: the tampered block, then the seen block, each in domain-name
+  /// order.
   void snapshot(common::BinWriter& w) const;
   void restore(common::BinReader& r);
 
  private:
-  struct CountryData {
-    std::unordered_map<std::string, std::uint64_t> tampered_by_domain;
-    std::unordered_map<std::string, std::uint64_t> seen_by_domain;
+  /// Interned domain: dense in first-seen order, per aggregator.
+  using NameId = std::uint32_t;
+  static constexpr std::uint8_t kInTampered = 1;
+  static constexpr std::uint8_t kInSeen = 2;
+  /// Both counts of one (country, domain) pair, plus which snapshot blocks
+  /// hold it. Presence is state of its own: add() sets kInSeen, and a
+  /// restored zero count is written back.
+  struct DomainCounts {
+    std::uint64_t tampered = 0;
+    std::uint64_t seen = 0;
+    std::uint8_t present = 0;  ///< kInTampered | kInSeen
   };
+  struct CountryData {
+    common::FlatTable<NameId, DomainCounts> by_domain;
+    std::uint64_t tampered_entries = 0;  ///< entries with kInTampered
+    std::uint64_t seen_entries = 0;      ///< entries with kInSeen
+  };
+  /// Marks `counts` present in the block behind `bit`, counting it into
+  /// that block's size the first time.
+  static void mark(CountryData& data, DomainCounts& counts, std::uint8_t bit);
+  CountryData& country(std::string_view cc);
+  [[nodiscard]] const CountryData* find_country(std::string_view cc) const;
+  /// Country ids in country-code order.
+  [[nodiscard]] std::vector<std::uint32_t> country_order() const;
+  /// rank[id] = position of domain `id` in name order.
+  [[nodiscard]] std::vector<std::uint32_t> name_ranks() const TAMPER_EXCLUDES(order_mu_);
+
   CategoryLookup lookup_;
-  std::map<std::string, CountryData> by_country_;
+  common::NameInterner names_;  ///< domain <-> NameId
+  /// Ids in name order, covering [0, by_name_.size()). Only a snapshot
+  /// reads the order, so only a snapshot extends it: it sorts the ids
+  /// interned since the last one and merges them in. add() never pays for
+  /// the order.
+  mutable common::Mutex order_mu_;
+  mutable std::vector<NameId> by_name_ TAMPER_GUARDED_BY(order_mu_);
+  common::NameInterner country_ids_;     ///< country code <-> by_country_ index
+  std::vector<CountryData> by_country_;
 };
 
 /// First-vs-next signature for repeated (client IP, domain) pairs
@@ -240,7 +272,8 @@ class OverlapMatrix {
   void restore(common::BinReader& r);
 
  private:
-  std::unordered_map<common::FlowId, std::size_t> first_state_;  ///< pair-hash -> state
+  /// Pair hash (common::FlowId's raw rep) -> first state.
+  common::FlatTable<std::uint64_t, std::uint8_t> first_state_;
   std::array<std::array<std::uint64_t, kStates>, kStates> matrix_{};
 };
 

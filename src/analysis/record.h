@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "appproto/dpi.h"
 #include "common/ids.h"
@@ -25,7 +26,6 @@ struct ConnectionRecord {
   net::IpVersion ip_version = net::IpVersion::kV4;
   appproto::AppProtocol protocol = appproto::AppProtocol::kUnknown;
   std::optional<std::string> domain;  ///< from SNI / Host; absent for drops
-  std::optional<std::string> http_user_agent;
   std::int64_t first_ts_sec = 0;
   std::uint64_t client_ip_hash = 0;  ///< stable key for (IP, domain) pairing
 };
@@ -52,10 +52,9 @@ struct ConnectionRecord {
   else if (sample.server_port == 443)
     record.protocol = appproto::AppProtocol::kTls;
   if (const auto* payload = parse_app_proto ? sample.first_data_payload() : nullptr) {
-    const appproto::DpiResult dpi = appproto::inspect_payload(*payload);
+    appproto::DpiResult dpi = appproto::inspect_payload(*payload);
     if (dpi.protocol != appproto::AppProtocol::kUnknown) record.protocol = dpi.protocol;
-    record.domain = dpi.domain;
-    record.http_user_agent = dpi.http_user_agent;
+    record.domain = std::move(dpi.domain);
   }
   return record;
 }

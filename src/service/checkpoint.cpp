@@ -36,22 +36,15 @@ void fsync_parent_dir(const std::string& path) {
 
 std::vector<std::uint8_t> encode_checkpoint(const analysis::Pipeline& pipeline,
                                             const CheckpointMeta& meta) {
-  common::BinWriter payload;
-  payload.u64(meta.samples_ingested);
-  payload.u64(meta.sequence);
-  pipeline.snapshot(payload);
-
   common::BinWriter out;
   for (char c : kCheckpointMagic) out.u8(static_cast<std::uint8_t>(c));
   out.u32(kCheckpointVersion);
-  out.u64(payload.bytes().size());
-  std::vector<std::uint8_t> image = out.take();
-  image.insert(image.end(), payload.bytes().begin(), payload.bytes().end());
-
-  common::BinWriter checksum;
-  checksum.u64(common::fnv1a_bytes(payload.bytes().data(), payload.bytes().size()));
-  image.insert(image.end(), checksum.bytes().begin(), checksum.bytes().end());
-  return image;
+  const std::size_t payload = out.begin_block();
+  out.u64(meta.samples_ingested);
+  out.u64(meta.sequence);
+  pipeline.snapshot(out);
+  out.end_block(payload);
+  return out.take();
 }
 
 LoadResult decode_checkpoint(const std::vector<std::uint8_t>& bytes,
@@ -115,9 +108,8 @@ LoadResult decode_checkpoint(const std::vector<std::uint8_t>& bytes,
   return result;
 }
 
-std::string save_checkpoint(const std::string& path, const analysis::Pipeline& pipeline,
-                            const CheckpointMeta& meta) {
-  const std::vector<std::uint8_t> image = encode_checkpoint(pipeline, meta);
+std::string write_checkpoint_image(const std::string& path,
+                                   const std::vector<std::uint8_t>& image) {
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return errno_string("open checkpoint temp file");
@@ -133,6 +125,11 @@ std::string save_checkpoint(const std::string& path, const analysis::Pipeline& p
   }
   fsync_parent_dir(path);
   return {};
+}
+
+std::string save_checkpoint(const std::string& path, const analysis::Pipeline& pipeline,
+                            const CheckpointMeta& meta) {
+  return write_checkpoint_image(path, encode_checkpoint(pipeline, meta));
 }
 
 LoadResult load_checkpoint(const std::string& path, analysis::Pipeline& pipeline) {

@@ -59,8 +59,12 @@ struct LoadResult {
 LoadResult decode_checkpoint(const std::vector<std::uint8_t>& bytes,
                              analysis::Pipeline& pipeline);
 
-/// Atomically persist a checkpoint: write <path>.tmp, fsync, rename.
+/// Atomically persist an encoded image: write <path>.tmp, fsync, rename.
 /// Returns an empty string on success, else the failure reason.
+std::string write_checkpoint_image(const std::string& path,
+                                   const std::vector<std::uint8_t>& image);
+
+/// encode_checkpoint + write_checkpoint_image.
 std::string save_checkpoint(const std::string& path, const analysis::Pipeline& pipeline,
                             const CheckpointMeta& meta);
 

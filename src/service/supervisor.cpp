@@ -81,6 +81,8 @@ void SupervisedService::register_metrics() {
   checkpoint_restore_seconds_ = &m.histogram(
       "tamper_checkpoint_restore_seconds", "Checkpoint restore duration at start()",
       obs::duration_buckets());
+  checkpoint_bytes_g_ =
+      &m.gauge("tamper_checkpoint_bytes", "Size of the last checkpoint image written");
 
   // Gauges and mirrors whose truth lives in the queue / emitter / heartbeat:
   // refreshed by this collector at every snapshot.
@@ -386,9 +388,11 @@ void SupervisedService::write_checkpoint() {
   meta.samples_ingested = ingested_c_->value() - base_.ingested;
   meta.sequence = checkpoint_seq_;
   const std::uint64_t t0 = clock_->now_ns();
-  const std::string err = save_checkpoint(config_.checkpoint_path, *pipeline_, meta);
+  const std::vector<std::uint8_t> image = encode_checkpoint(*pipeline_, meta);
+  const std::string err = write_checkpoint_image(config_.checkpoint_path, image);
   if (err.empty()) {
     checkpoint_save_seconds_->observe(static_cast<double>(clock_->now_ns() - t0) * 1e-9);
+    checkpoint_bytes_g_->set(static_cast<double>(image.size()));
     checkpoints_written_c_->add(1);
     ++checkpoint_seq_;
   } else {

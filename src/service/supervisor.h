@@ -299,6 +299,7 @@ class SupervisedService {
   obs::Counter* stalls_detected_c_ = nullptr;
   obs::Histogram* checkpoint_save_seconds_ = nullptr;
   obs::Histogram* checkpoint_restore_seconds_ = nullptr;
+  obs::Gauge* checkpoint_bytes_g_ = nullptr;
   obs::Registry::CollectorId collector_ = 0;
   struct CounterBases {
     std::uint64_t ingested = 0;

@@ -5,6 +5,7 @@
 // interval and never corrupts aggregate state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -12,6 +13,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
+#include <optional>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -19,8 +23,10 @@
 
 #include "analysis/pipeline.h"
 #include "analysis/report.h"
+#include "common/binio.h"
 #include "common/bounded_queue.h"
 #include "fault/chaos.h"
+#include "fleet/partial.h"
 #include "service/checkpoint.h"
 #include "service/shutdown.h"
 #include "service/sink.h"
@@ -425,6 +431,217 @@ TEST(Checkpoint, SaveLoadRoundTripsThroughDisk) {
             service::encode_checkpoint(pipeline, meta));
 }
 
+struct ImageDigest {
+  std::size_t size = 0;
+  std::uint64_t fnv = 0;
+  bool operator==(const ImageDigest&) const = default;
+};
+
+ImageDigest digest_of(const void* data, std::size_t size) {
+  return {size, common::fnv1a_bytes(static_cast<const std::uint8_t*>(data), size)};
+}
+
+void PrintTo(const ImageDigest& d, std::ostream* os) {
+  *os << "{" << d.size << ", 0x" << std::hex << d.fnv << std::dec << "}";
+}
+
+// Pins the checkpoint-v4 and partial-v3 bytes of a seeded corpus to
+// constants, so a rewrite of any aggregator codec that moves one byte fails
+// here. The corpus carries TLS and HTTP domains (categories), repeated
+// (client, domain) pairs (overlap transitions) and, in the three-way merge,
+// overlap keys seen by more than one pipeline (the min rule).
+TEST(Checkpoint, SeededCorpusImagesArePinned) {
+  const auto samples = generate_samples(20'000, 0xb17e5);
+  analysis::Pipeline whole(shared_world());
+  std::vector<std::unique_ptr<analysis::Pipeline>> thirds;
+  for (int i = 0; i < 3; ++i)
+    thirds.push_back(std::make_unique<analysis::Pipeline>(shared_world()));
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    whole.ingest(samples[i]);
+    thirds[i % 3]->ingest(samples[i]);
+  }
+  const auto& vp = whole.version_protocol().by_country();
+  ASSERT_TRUE(std::any_of(vp.begin(), vp.end(), [](const auto& kv) {
+    return kv.second.tls_total > 0 && kv.second.http_total > 0;
+  }));
+  std::uint64_t transitions = 0;
+  for (std::size_t s = 0; s < analysis::OverlapMatrix::kStates; ++s)
+    transitions += whole.overlap().row_total(s);
+  ASSERT_GT(transitions, 0u);
+  ASSERT_FALSE(whole.categories().countries().empty());
+
+  service::CheckpointMeta meta;
+  meta.samples_ingested = samples.size();
+  meta.sequence = 7;
+  const auto checkpoint = service::encode_checkpoint(whole, meta);
+
+  fleet::PartialHeader header;
+  header.pop = common::PopId(3);
+  header.epoch = common::EpochId(11);
+  header.sequence = samples.size();
+  const std::string partial = fleet::encode_partial(header, whole);
+
+  analysis::Pipeline merged(shared_world());
+  for (const auto& third : thirds) merged.merge_from(*third);
+  const auto merged_image = service::encode_checkpoint(merged, meta);
+
+  EXPECT_EQ(digest_of(checkpoint.data(), checkpoint.size()),
+            (ImageDigest{2341600, 0xc56894a340cdbcffULL}));
+  EXPECT_EQ(digest_of(partial.data(), partial.size()),
+            (ImageDigest{2341621, 0xb79e69b67f9f88afULL}));
+  EXPECT_EQ(digest_of(merged_image.data(), merged_image.size()),
+            (ImageDigest{2368088, 0xfe0cad33114a68ecULL}));
+}
+
+analysis::CategoryAggregator no_categories() {
+  return analysis::CategoryAggregator(
+      [](const std::string&) { return std::optional<world::Category>{}; });
+}
+
+// Category blocks restore with map-assignment semantics: a duplicated
+// domain key keeps its last value and is written back once; a zero count
+// is state (the domain was present), so it survives save -> restore -> save.
+TEST(Checkpoint, CategoryRestoreKeepsLastDuplicateAndZeroCounts) {
+  common::BinWriter in;
+  in.u64(1);
+  in.str("CN");
+  in.u64(3);  // tampered block
+  in.str("b.example");
+  in.u64(7);
+  in.str("a.example");
+  in.u64(0);
+  in.str("b.example");
+  in.u64(9);
+  in.u64(1);  // seen block: a domain with no tampered entry
+  in.str("c.example");
+  in.u64(0);
+
+  auto categories = no_categories();
+  common::BinReader r(in.bytes());
+  categories.restore(r);
+  EXPECT_TRUE(r.exhausted());
+
+  common::BinWriter expected;
+  expected.u64(1);
+  expected.str("CN");
+  expected.u64(2);
+  expected.str("a.example");
+  expected.u64(0);
+  expected.str("b.example");
+  expected.u64(9);
+  expected.u64(1);
+  expected.str("c.example");
+  expected.u64(0);
+  common::BinWriter out;
+  categories.snapshot(out);
+  EXPECT_EQ(out.bytes(), expected.bytes());
+
+  auto again = no_categories();
+  common::BinReader r2(out.bytes());
+  again.restore(r2);
+  common::BinWriter out2;
+  again.snapshot(out2);
+  EXPECT_EQ(out2.bytes(), expected.bytes());
+  EXPECT_EQ(again.tampered_domains("CN", 0),
+            (std::vector<std::string>{"a.example", "b.example"}));
+  EXPECT_EQ(again.tampered_domains("CN", 8), (std::vector<std::string>{"b.example"}));
+}
+
+// Overlap blocks restore the same way: the last value of a duplicated key
+// wins, and a state past the clean state (19) is clamped to it, since
+// states index the transition matrix.
+TEST(Checkpoint, OverlapRestoreKeepsLastDuplicateAndClampsStates) {
+  common::BinWriter in;
+  in.u64(3);
+  in.u64(42);
+  in.u64(3);
+  in.u64(7);
+  in.u64(250);
+  in.u64(42);
+  in.u64(5);
+  constexpr std::uint64_t kCells =
+      analysis::OverlapMatrix::kStates * analysis::OverlapMatrix::kStates;
+  for (std::uint64_t i = 0; i < kCells; ++i) in.u64(i);
+
+  analysis::OverlapMatrix overlap;
+  common::BinReader r(in.bytes());
+  overlap.restore(r);
+  EXPECT_TRUE(r.exhausted());
+
+  common::BinWriter expected;
+  expected.u64(2);
+  expected.u64(7);
+  expected.u64(analysis::OverlapMatrix::kStates - 1);
+  expected.u64(42);
+  expected.u64(5);
+  for (std::uint64_t i = 0; i < kCells; ++i) expected.u64(i);
+  common::BinWriter out;
+  overlap.snapshot(out);
+  EXPECT_EQ(out.bytes(), expected.bytes());
+}
+
+/// A checkpoint image around an arbitrary payload, with a valid envelope and
+/// checksum, so a test reaches the restore path with bytes of its choosing.
+std::vector<std::uint8_t> checkpoint_around(const std::vector<std::uint8_t>& payload) {
+  common::BinWriter w;
+  for (char c : service::kCheckpointMagic) w.u8(static_cast<std::uint8_t>(c));
+  w.u32(service::kCheckpointVersion);
+  w.u64(payload.size());
+  std::vector<std::uint8_t> image = w.take();
+  image.insert(image.end(), payload.begin(), payload.end());
+  common::BinWriter sum;
+  sum.u64(common::fnv1a_bytes(payload.data(), payload.size()));
+  image.insert(image.end(), sum.bytes().begin(), sum.bytes().end());
+  return image;
+}
+
+/// Checkpoint meta plus an empty pipeline's snapshot up to (not including)
+/// its category block.
+common::BinWriter payload_before_categories() {
+  const analysis::Pipeline empty(shared_world());
+  common::BinWriter whole;
+  empty.snapshot(whole);
+  common::BinWriter tail;
+  empty.categories().snapshot(tail);
+  empty.overlap().snapshot(tail);
+  empty.evidence().snapshot(tail);
+  empty.trends().snapshot(tail);
+  common::BinWriter w;
+  w.u64(0);  // CheckpointMeta
+  w.u64(0);
+  for (std::size_t i = 0; i + tail.bytes().size() < whole.bytes().size(); ++i)
+    w.u8(whole.bytes()[i]);
+  return w;
+}
+
+// A block that declares 2^40 entries over a short payload is refused by the
+// per-entry reads (BinUnderrun), not by an allocation sized from the
+// declared count.
+TEST(Checkpoint, HostileCategoryCountIsCleanlyRefused) {
+  common::BinWriter w = payload_before_categories();
+  w.u64(1);
+  w.str("CN");
+  w.u64(std::uint64_t{1} << 40);
+  w.str("a.example");
+  w.u64(1);
+  analysis::Pipeline target(shared_world());
+  const auto load = service::decode_checkpoint(checkpoint_around(w.bytes()), target);
+  EXPECT_FALSE(load.ok);
+  EXPECT_NE(load.error.find("truncated"), std::string::npos) << load.error;
+}
+
+TEST(Checkpoint, HostileOverlapCountIsCleanlyRefused) {
+  common::BinWriter w = payload_before_categories();
+  w.u64(0);  // no category countries
+  w.u64(std::uint64_t{1} << 40);
+  w.u64(1);
+  w.u64(2);
+  analysis::Pipeline target(shared_world());
+  const auto load = service::decode_checkpoint(checkpoint_around(w.bytes()), target);
+  EXPECT_FALSE(load.ok);
+  EXPECT_NE(load.error.find("truncated"), std::string::npos) << load.error;
+}
+
 // ------------------------------------------------------------ sink/emit --
 
 TEST(ReportEmitter, RetriesWithBackoffUntilDelivery) {
@@ -588,6 +805,24 @@ TEST(SupervisedService, GracefulRunIngestsEverything) {
             reference.signatures().total_connections());
   EXPECT_EQ(service::encode_checkpoint(svc.pipeline(), {}),
             service::encode_checkpoint(reference, {}));
+}
+
+// The checkpoint-size gauge holds the size of the last image written: after
+// stop()'s final checkpoint, exactly the file on disk.
+TEST(SupervisedService, CheckpointBytesGaugeMatchesTheFile) {
+  ScratchDir dir("checkpoint_bytes");
+  auto cfg = fast_config();
+  cfg.checkpoint_path = dir.file("state.ckpt");
+  cfg.checkpoint_every_samples = 200;
+  service::SupervisedService svc(shared_world(), cfg, nullptr);
+  ASSERT_TRUE(svc.start());
+  for (const auto& s : generate_samples(700)) ASSERT_TRUE(svc.submit(s));
+  const auto summary = svc.stop();
+  EXPECT_GE(summary.checkpoints_written, 2u);
+  double bytes = 0;
+  ASSERT_TRUE(svc.metrics().read_family_total("tamper_checkpoint_bytes", &bytes));
+  EXPECT_GT(bytes, 0.0);
+  EXPECT_EQ(bytes, static_cast<double>(fs::file_size(cfg.checkpoint_path)));
 }
 
 TEST(SupervisedService, InjectedCrashesAreRestartedWithoutSampleLoss) {
