@@ -1,6 +1,7 @@
 // Classify connections from a pcap capture — the path a real deployment
-// would use: feed server-side inbound packets through the connection
-// sampler and run the signature classifier over the assembled flows.
+// would use: replay server-side inbound packets through the connection
+// sampler (capture::replay) and run the signature classifier over each
+// flow as it closes.
 //
 //   ./examples/pcap_classify <capture.pcap> [server_port]
 //
@@ -10,6 +11,7 @@
 #include <iostream>
 
 #include "appproto/dpi.h"
+#include "capture/replay.h"
 #include "capture/sampler.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -66,18 +68,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   net::PcapReader reader(in);
-  double last_ts = 0.0;
-  while (auto pkt = reader.next()) {
-    last_ts = pkt->timestamp;
-    sampler.on_packet(*pkt, pkt->timestamp);
-  }
-  auto samples = sampler.flush_all(last_ts + 60.0);
-
-  core::SignatureClassifier classifier;
+  const core::SignatureClassifier classifier;
   common::LabelCounter verdicts;
+  std::uint64_t flows = 0;
   std::uint64_t tampered_with_domain = 0;
   common::LabelCounter domains;
-  for (const auto& sample : samples) {
+  // Each flow is classified as it closes: once idle, or at the end of the
+  // capture.
+  capture::replay(reader, sampler, [&](capture::ConnectionSample&& sample) {
+    ++flows;
     const auto verdict = classifier.classify(sample);
     if (verdict.signature) {
       verdicts.add(std::string(core::name(*verdict.signature)));
@@ -92,10 +91,10 @@ int main(int argc, char** argv) {
       verdicts.add(verdict.possibly_tampered ? "(possibly tampered, unmatched)"
                                              : "Not Tampering");
     }
-  }
+  });
 
-  std::cout << "frames read: " << reader.frames_read() << ", flows assembled: "
-            << samples.size() << "\n\n";
+  std::cout << "frames read: " << reader.frames_read() << ", flows assembled: " << flows
+            << "\n\n";
   common::TextTable table({"Verdict", "Flows"});
   for (const auto& [label, count] : verdicts.top(25))
     table.add_row({label, common::TextTable::num(count)});

@@ -24,23 +24,25 @@ bool ConnectionSampler::is_malformed(const net::Packet& pkt) const noexcept {
   return false;
 }
 
-void ConnectionSampler::unlink(FlowState& flow) {
-  if (flow.embryonic)
-    embryonic_lru_.erase(flow.lru_it);
-  else
-    established_lru_.erase(flow.lru_it);
+void ConnectionSampler::close(FlowMap::iterator it, std::list<FlowKey>& lru,
+                              common::SimTime end, std::vector<ConnectionSample>& out) {
+  it->second.sample.observation_end_sec = static_cast<std::int64_t>(std::floor(end));
+  out.push_back(std::move(it->second.sample));
+  lru.erase(it->second.lru_it);
+  flows_.erase(it);
 }
 
 void ConnectionSampler::evict_for_overload(common::SimTime now) {
   std::list<FlowKey>& lru = embryonic_lru_.empty() ? established_lru_ : embryonic_lru_;
-  const FlowKey victim_key = lru.front();
-  auto it = flows_.find(victim_key);
-  FlowState& victim = it->second;
-  victim.sample.observation_end_sec = static_cast<std::int64_t>(std::floor(now));
-  evicted_.push_back(std::move(victim.sample));
-  lru.pop_front();
-  flows_.erase(it);
+  close(flows_.find(lru.front()), lru, now, evicted_);
   ++stats_.flows_evicted_overload;
+}
+
+ConnectionSampler::FlowMap::iterator ConnectionSampler::idle_front(
+    const std::list<FlowKey>& lru, common::SimTime now) {
+  if (lru.empty()) return flows_.end();
+  const auto it = flows_.find(lru.front());
+  return now - it->second.last_seen >= config_.flow_idle_timeout ? it : flows_.end();
 }
 
 void ConnectionSampler::on_packet(const net::Packet& pkt, common::SimTime now) {
@@ -93,15 +95,19 @@ void ConnectionSampler::on_packet(const net::Packet& pkt, common::SimTime now) {
 std::vector<ConnectionSample> ConnectionSampler::drain_idle(common::SimTime now) {
   std::vector<ConnectionSample> out = std::move(evicted_);
   evicted_.clear();
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    if (now - it->second.last_seen >= config_.flow_idle_timeout) {
-      it->second.sample.observation_end_sec = static_cast<std::int64_t>(std::floor(now));
-      unlink(it->second);
-      out.push_back(std::move(it->second.sample));
-      it = flows_.erase(it);
-    } else {
-      ++it;
-    }
+  // With a monotone `now` each recency list is ordered by last_seen, so its
+  // idle flows are a prefix of it: merge the two prefixes, oldest first.
+  while (true) {
+    const auto embryonic = idle_front(embryonic_lru_, now);
+    const auto established = idle_front(established_lru_, now);
+    if (embryonic == flows_.end() && established == flows_.end()) break;
+    const bool take_embryonic =
+        established == flows_.end() ||
+        (embryonic != flows_.end() && embryonic->second.last_seen <= established->second.last_seen);
+    if (take_embryonic)
+      close(embryonic, embryonic_lru_, now, out);
+    else
+      close(established, established_lru_, now, out);
   }
   return out;
 }

@@ -44,7 +44,8 @@ class ConnectionSampler {
   /// new flow and do not belong to a sampled flow are counted and dropped.
   void on_packet(const net::Packet& pkt, common::SimTime now);
 
-  /// Evict flows idle past the timeout, emitting their samples.
+  /// Close flows idle for at least the timeout, oldest first, after any
+  /// flows closed by overload. O(closed flows).
   [[nodiscard]] std::vector<ConnectionSample> drain_idle(common::SimTime now);
 
   /// Close out every open flow (end of the observation window).
@@ -62,6 +63,7 @@ class ConnectionSampler {
     std::uint64_t flows_evicted_overload = 0;
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+  [[nodiscard]] const Config& config() const noexcept { return config_; }
 
   /// Currently tracked flows (bounded by Config::max_flows when set).
   [[nodiscard]] std::size_t open_flows() const noexcept { return flows_.size(); }
@@ -89,15 +91,23 @@ class ConnectionSampler {
     std::list<FlowKey>::iterator lru_it;
   };
 
+  using FlowMap = std::unordered_map<FlowKey, FlowState, FlowKeyHash>;
+
   [[nodiscard]] bool should_sample(const FlowKey& key) const noexcept;
   [[nodiscard]] bool is_malformed(const net::Packet& pkt) const noexcept;
   /// Make room for one more flow; closes the victim into evicted_.
   void evict_for_overload(common::SimTime now);
-  void unlink(FlowState& flow);
+  /// The flow at the cold end of `lru` if it has been idle for the
+  /// timeout at `now`, else flows_.end().
+  [[nodiscard]] FlowMap::iterator idle_front(const std::list<FlowKey>& lru,
+                                             common::SimTime now);
+  /// Close flow `it`, which `lru` holds, into `out`, observed until `end`.
+  void close(FlowMap::iterator it, std::list<FlowKey>& lru, common::SimTime end,
+             std::vector<ConnectionSample>& out);
 
   Config config_;
   Stats stats_;
-  std::unordered_map<FlowKey, FlowState, FlowKeyHash> flows_;
+  FlowMap flows_;
   // Recency order (front = coldest), embryonic flows tracked separately so
   // a SYN flood cannibalises itself before touching established flows.
   std::list<FlowKey> embryonic_lru_;

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "capture/replay.h"
 #include "capture/sampler.h"
+#include "net/pcap.h"
 
 namespace tamper::capture {
 namespace {
@@ -274,6 +278,24 @@ TEST(Sampler, MalformedPacketsCountedAndDropped) {
   EXPECT_EQ(sampler.open_flows(), 0u);
 }
 
+TEST(Sampler, DrainIdleClosesOldestFirstAcrossBothLists) {
+  ConnectionSampler::Config config = sample_everything();
+  config.flow_idle_timeout = 5.0;
+  ConnectionSampler sampler(config);
+  const auto a = net::IpAddress::v4(11, 0, 0, 2);
+  const auto b = net::IpAddress::v4(11, 0, 0, 3);
+  const auto c = net::IpAddress::v4(11, 0, 0, 4);
+  sampler.on_packet(packet(a, 40000, kSyn, 0, 1.0), 1.0);
+  sampler.on_packet(packet(a, 40000, kAck, 1, 1.2), 1.2);  // established at 1.2
+  sampler.on_packet(packet(b, 40000, kSyn, 0, 1.5), 1.5);  // embryonic at 1.5
+  sampler.on_packet(packet(c, 40000, kSyn, 0, 3.0), 3.0);  // embryonic at 3
+  const auto drained = sampler.drain_idle(7.0);  // a and b are idle, c is not
+  ASSERT_EQ(drained.size(), 2u);
+  EXPECT_EQ(drained[0].client_ip, a);
+  EXPECT_EQ(drained[1].client_ip, b);
+  EXPECT_EQ(sampler.open_flows(), 1u);
+}
+
 TEST(ConnectionSample, FirstDataPayloadFindsRequest) {
   ConnectionSample sample;
   ObservedPacket syn;
@@ -289,6 +311,135 @@ TEST(ConnectionSample, FirstDataPayloadFindsRequest) {
   ConnectionSample no_data;
   no_data.packets = {syn};
   EXPECT_EQ(no_data.first_data_payload(), nullptr);
+}
+
+// ---- capture::replay: the pcap -> flow loop --------------------------------
+
+std::string pcap_of(const std::vector<net::Packet>& packets) {
+  std::ostringstream out(std::ios::binary);
+  net::PcapWriter writer(out);
+  for (const auto& pkt : packets) writer.write(pkt);
+  return out.str();
+}
+
+/// Replays `bytes` through `sampler`; returns the flows in the order they
+/// closed.
+std::vector<ConnectionSample> replay_bytes(const std::string& bytes, ConnectionSampler& sampler,
+                                           const std::function<bool()>& stop = {},
+                                           bool* completed = nullptr) {
+  std::istringstream in(bytes, std::ios::binary);
+  net::PcapReader reader(in);
+  std::vector<ConnectionSample> flows;
+  const bool done = replay(
+      reader, sampler, [&](ConnectionSample&& flow) { flows.push_back(std::move(flow)); }, stop);
+  if (completed != nullptr) *completed = done;
+  return flows;
+}
+
+/// `n` finished connections, one opening every 0.1 s, 4 packets each.
+std::vector<net::Packet> sequential_flows(std::size_t n) {
+  std::vector<net::Packet> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto client = net::IpAddress::v4(0x0b000000u + static_cast<std::uint32_t>(i));
+    const double t = 1000.0 + 0.1 * static_cast<double>(i);
+    out.push_back(packet(client, 40000, kSyn, 0, t));
+    out.push_back(packet(client, 40000, kAck, 1, t + 0.02));
+    out.push_back(packet(client, 40000, kPsh | kAck, 1, t + 0.04, 20));
+    out.push_back(packet(client, 40000, kFin | kAck, 21, t + 0.06));
+  }
+  return out;
+}
+
+TEST(Replay, FinishedFlowsCloseWhenIdleNotUnderOverload) {
+  // 3000 flows over 300 s, about 300 of them inside any 30 s idle window.
+  const std::string bytes = pcap_of(sequential_flows(3000));
+  ConnectionSampler::Config config = sample_everything();
+  config.max_flows = 1000;
+
+  ConnectionSampler sampler(config);
+  const auto flows = replay_bytes(bytes, sampler);
+  EXPECT_EQ(flows.size(), 3000u);
+  EXPECT_EQ(sampler.stats().flows_evicted_overload, 0u);
+  for (const auto& flow : flows) EXPECT_EQ(flow.packets.size(), 4u);
+
+  // Fed without idle drains, the table fills and finished flows are
+  // force-closed as overload instead.
+  ConnectionSampler undrained(config);
+  std::istringstream in(bytes, std::ios::binary);
+  net::PcapReader reader(in);
+  while (auto pkt = reader.next()) undrained.on_packet(*pkt, pkt->timestamp);
+  EXPECT_EQ(undrained.stats().flows_evicted_overload, 2000u);
+}
+
+TEST(Replay, FourTupleReusedAfterIdleTimeoutIsTwoFlows) {
+  const auto client = net::IpAddress::v4(11, 0, 0, 2);
+  const std::vector<net::Packet> packets = {
+      packet(client, 40000, kSyn, 100, 1.0),   packet(client, 40000, kAck, 101, 1.5),
+      packet(client, 40000, kRst, 101, 2.0),   packet(client, 40000, kSyn, 900, 80.0),
+      packet(client, 40000, kAck, 901, 80.5),  packet(client, 40000, kPsh | kAck, 901, 81.0, 10),
+  };
+  ConnectionSampler sampler(sample_everything());
+  const auto flows = replay_bytes(pcap_of(packets), sampler);
+  ASSERT_EQ(flows.size(), 2u);
+  EXPECT_EQ(flows[0].packets.size(), 3u);
+  EXPECT_EQ(flows[0].packets.front().seq, 100u);
+  EXPECT_GE(flows[0].observation_end_sec, 2 + 30);
+  EXPECT_EQ(flows[1].packets.size(), 3u);
+  EXPECT_EQ(flows[1].packets.front().seq, 900u);
+  EXPECT_EQ(flows[1].observation_end_sec, 81 + 60);  // EOF horizon
+}
+
+TEST(Replay, DrainsOnEachNewCaptureSecond) {
+  ConnectionSampler::Config config = sample_everything();
+  config.flow_idle_timeout = 5.0;
+  const auto a = net::IpAddress::v4(11, 0, 0, 2);
+  const auto b = net::IpAddress::v4(11, 0, 0, 3);
+  const std::vector<net::Packet> packets = {
+      packet(a, 40000, kSyn, 0, 10.2),  // a goes idle after this
+      packet(b, 40000, kSyn, 0, 12.0),  packet(b, 40000, kAck, 1, 14.0),
+      packet(b, 40000, kAck, 1, 15.1),  // drain at 15.1: a has been idle 4.9 s
+      packet(b, 40000, kAck, 1, 15.9),  // same second: no drain
+      packet(b, 40000, kAck, 1, 16.3),  // drain at 16.3: a closes, observed to 16
+  };
+  ConnectionSampler sampler(config);
+  const auto flows = replay_bytes(pcap_of(packets), sampler);
+  ASSERT_EQ(flows.size(), 2u);
+  EXPECT_EQ(flows[0].client_ip, a);
+  EXPECT_EQ(flows[0].observation_end_sec, 16);
+  EXPECT_EQ(flows[1].client_ip, b);
+  EXPECT_EQ(flows[1].packets.size(), 5u);
+}
+
+TEST(Replay, FrameFromThePastRefreshesItsFlowAtTheClock) {
+  const auto b = net::IpAddress::v4(11, 0, 0, 3);
+  const auto c = net::IpAddress::v4(11, 0, 0, 4);
+  const std::vector<net::Packet> packets = {
+      packet(b, 40000, kSyn, 0, 15.0),
+      packet(b, 40000, kAck, 1, 15.2),
+      packet(c, 40000, kSyn, 0, 25.0),
+      packet(b, 40000, kPsh | kAck, 1, 14.0, 10),  // stamped 11 s in the past
+      packet(c, 40000, kAck, 1, 44.0),  // b was last active at clock 25, not 14
+      packet(b, 40000, kRst, 11, 45.0),
+  };
+  ConnectionSampler sampler(sample_everything());
+  const auto flows = replay_bytes(pcap_of(packets), sampler);
+  ASSERT_EQ(flows.size(), 2u);
+  const auto& flow_b = flows[0].client_ip == b ? flows[0] : flows[1];
+  ASSERT_EQ(flow_b.packets.size(), 4u);
+  EXPECT_EQ(flow_b.packets[2].ts_sec, 14);  // the record keeps its own timestamp
+  EXPECT_TRUE(flow_b.packets[3].is_rst());
+}
+
+TEST(Replay, StopEndsTheReplayAndFlushesWhatWasRead) {
+  const std::string bytes = pcap_of(sequential_flows(10));
+  ConnectionSampler sampler(sample_everything());
+  int frames = 0;
+  bool completed = true;
+  const auto flows = replay_bytes(bytes, sampler, [&] { return ++frames > 6; }, &completed);
+  EXPECT_FALSE(completed);
+  ASSERT_EQ(flows.size(), 2u);  // frames 0-5: one whole flow, half of the next
+  EXPECT_EQ(flows[0].packets.size() + flows[1].packets.size(), 6u);
+  EXPECT_EQ(sampler.open_flows(), 0u);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "analysis/pipeline.h"
+#include "capture/replay.h"
 #include "capture/sampler.h"
 #include "core/classifier.h"
 #include "fault/corruptor.h"
@@ -147,6 +148,26 @@ RunResult run_ingest(const std::string& pcap_bytes, std::size_t max_flows, doubl
   return result;
 }
 
+/// Drive pcap bytes through the capture loop (capture::replay) with the
+/// sampler's default idle timeout and flow bound.
+RunResult run_replay(const std::string& pcap_bytes) {
+  RunResult result;
+  std::istringstream in(pcap_bytes, std::ios::binary);
+  net::PcapReader reader(in, net::PcapReadMode::kLenient);
+  result.reader_ok = reader.ok();
+  capture::ConnectionSampler::Config config;
+  config.sample_one_in = 1;
+  capture::ConnectionSampler sampler(config);
+  const core::SignatureClassifier classifier;
+  capture::replay(reader, sampler, [&](capture::ConnectionSample&& sample) {
+    result.verdicts[flow_key(sample)] = verdict_of(classifier, sample);
+    result.packet_counts[flow_key(sample)] = sample.packets.size();
+  });
+  result.sampler_stats = sampler.stats();
+  result.reader_stats = reader.stats();
+  return result;
+}
+
 class FaultCampaigns : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -223,6 +244,68 @@ TEST_F(FaultCampaigns, UnfaultedFlowsClassifyIdenticallyUnderStreamFaults) {
           << "seed " << seed << " flow " << key;
     }
     EXPECT_GT(unfaulted, kConnections / 3) << "seed " << seed;
+  }
+}
+
+// ---- Campaign 2b: the capture loop under timestamp faults ---------------
+
+TEST_F(FaultCampaigns, CaptureLoopClassifiesUnfaultedFlowsLikeTheBaseline) {
+  // The default 30 s idle timeout closes most flows mid-capture, and the
+  // faulted flows carry timestamp regressions of up to 30 s.
+  std::uint64_t regressions = 0;
+  for (std::uint64_t seed = 0; seed < 25; ++seed) {
+    fault::FaultInjector injector(seed);
+    const RunResult r = run_replay(to_pcap(injector.run(stream_)));
+    regressions += injector.stats().timestamp_regressions;
+    EXPECT_EQ(r.sampler_stats.flows_evicted_overload, 0u) << "seed " << seed;
+    for (const auto& [key, verdict] : baseline_.verdicts) {
+      const net::Packet& opener = *std::find_if(
+          stream_.begin(), stream_.end(), [&](const net::Packet& p) {
+            return flow_key(p.src, p.tcp.src_port, p.dst, p.tcp.dst_port) == key;
+          });
+      if (injector.flow_is_faulted(opener.src, opener.tcp.src_port, opener.dst,
+                                   opener.tcp.dst_port))
+        continue;
+      ASSERT_TRUE(r.verdicts.contains(key)) << "seed " << seed << " lost flow " << key;
+      EXPECT_EQ(r.verdicts.at(key), verdict) << "seed " << seed << " flow " << key;
+      EXPECT_EQ(r.packet_counts.at(key), baseline_.packet_counts.at(key))
+          << "seed " << seed << " flow " << key;
+    }
+  }
+  EXPECT_GT(regressions, 25u);
+}
+
+TEST_F(FaultCampaigns, OneTimestampJumpCannotCutOtherFlowsShort) {
+  // Re-time the stream so flows overlap: a connection opens every second
+  // and its packets are 2 s apart, so about five are open at any moment.
+  std::vector<net::Packet> overlapping = stream_;
+  std::map<std::string, std::pair<int, int>> seen;  // flow -> (index, packets)
+  for (auto& pkt : overlapping) {
+    const std::string key = flow_key(pkt.src, pkt.tcp.src_port, pkt.dst, pkt.tcp.dst_port);
+    auto [it, fresh] = seen.try_emplace(key, static_cast<int>(seen.size()), 0);
+    pkt.timestamp = kStreamStart + it->second.first + 2.0 * it->second.second++;
+  }
+  std::stable_sort(overlapping.begin(), overlapping.end(),
+                   [](const auto& a, const auto& b) { return a.timestamp < b.timestamp; });
+  const auto clean = serialize_stream(overlapping);
+  const RunResult baseline = run_ingest(to_pcap(clean), 1 << 16, stream_end(overlapping));
+  ASSERT_EQ(baseline.verdicts.size(), kConnections);
+  ASSERT_EQ(run_replay(to_pcap(clean)).verdicts, baseline.verdicts);
+
+  // Push each record, in turn, 10^6 s into the future.
+  for (std::size_t i = 0; i < clean.size(); ++i) {
+    auto frames = clean;
+    frames[i].timestamp += 1e6;
+    const RunResult r = run_replay(to_pcap(frames));
+    const net::Packet& p = overlapping[i];
+    const std::string jumped = flow_key(p.src, p.tcp.src_port, p.dst, p.tcp.dst_port);
+    for (const auto& [key, verdict] : baseline.verdicts) {
+      if (key == jumped) continue;
+      ASSERT_TRUE(r.verdicts.contains(key)) << "record " << i << " lost flow " << key;
+      EXPECT_EQ(r.verdicts.at(key), verdict) << "record " << i << " flow " << key;
+      EXPECT_EQ(r.packet_counts.at(key), baseline.packet_counts.at(key))
+          << "record " << i << " flow " << key;
+    }
   }
 }
 

@@ -1,11 +1,17 @@
 // Full-loop integration: traffic -> pcap on disk -> re-ingest through the
-// real sampler -> classify, and statistical shape checks on a small global
+// capture loop -> classify, and statistical shape checks on a small global
 // scenario.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <fstream>
 #include <map>
+#include <sstream>
 
 #include "analysis/pipeline.h"
+#include "analysis/report.h"
+#include "capture/replay.h"
 #include "capture/sampler.h"
 #include "core/classifier.h"
 #include "middlebox/catalog.h"
@@ -59,12 +65,16 @@ TEST(Integration, TamperedSessionSurvivesPcapRoundTrip) {
   for (const auto& traced : result.server_inbound) inbound.push_back(traced.pkt);
   net::write_pcap_file(path, inbound);
 
-  // Re-ingest through the real sampler.
+  // Re-ingest through the production capture loop.
   capture::ConnectionSampler::Config sampler_cfg;
   sampler_cfg.sample_one_in = 1;
   capture::ConnectionSampler sampler(sampler_cfg);
-  for (const auto& pkt : net::read_pcap_file(path)) sampler.on_packet(pkt, pkt.timestamp);
-  auto samples = sampler.flush_all(result.end_time);
+  std::ifstream in(path, std::ios::binary);
+  net::PcapReader reader(in);
+  std::vector<capture::ConnectionSample> samples;
+  ASSERT_TRUE(capture::replay(reader, sampler, [&](capture::ConnectionSample&& sample) {
+    samples.push_back(std::move(sample));
+  }));
   ASSERT_EQ(samples.size(), 1u);
 
   const auto classification = core::SignatureClassifier{}.classify(samples[0]);
@@ -75,6 +85,63 @@ TEST(Integration, TamperedSessionSurvivesPcapRoundTrip) {
   const auto* payload = samples[0].first_data_payload();
   ASSERT_NE(payload, nullptr);
   EXPECT_EQ(appproto::extract_sni(*payload), "blocked.example");
+}
+
+TEST(Integration, CaptureLoopReportsWhatADirectIngestReports) {
+  // Every inbound packet of a seeded set of connections, time-sorted into
+  // one tap capture, replayed through the capture loop into a pipeline: its
+  // Radar JSON must equal a direct ingest of the generator's samples. Only a
+  // SYN opens a flow at the tap, so the reference leaves out the flows with
+  // no inbound packet or whose first inbound packet is not a SYN.
+  const world::World world(
+      world::WorldConfig{.domains = {.domain_count = 30'000}, .seed = 0x600d});
+  world::TrafficConfig traffic;
+  traffic.seed = 0x7a9;
+  traffic.keep_raw_inbound = true;
+  traffic.window_end = traffic.window_start + 120.0;
+  world::TrafficGenerator generator(world, traffic);
+  analysis::Pipeline reference(world);
+  std::uint64_t reference_flows = 0;
+  std::vector<net::Packet> packets;
+  generator.generate(4000, [&](world::LabeledConnection&& conn) {
+    if (!conn.sample.packets.empty() && conn.sample.packets.front().is_syn()) {
+      reference.ingest(conn.sample);
+      ++reference_flows;
+    }
+    for (auto& pkt : conn.raw_inbound) packets.push_back(std::move(pkt));
+  });
+  std::stable_sort(packets.begin(), packets.end(),
+                   [](const auto& a, const auto& b) { return a.timestamp < b.timestamp; });
+  std::stringstream pcap(std::ios::in | std::ios::out | std::ios::binary);
+  {
+    net::PcapWriter writer(pcap);
+    for (const auto& pkt : packets) writer.write(pkt);
+  }
+
+  net::PcapReader reader(pcap, net::PcapReadMode::kLenient);
+  capture::ConnectionSampler::Config config;
+  config.sample_one_in = 1;
+  capture::ConnectionSampler sampler(config);
+  analysis::Pipeline replayed(world);
+  const auto eof_end =
+      static_cast<std::int64_t>(std::floor(packets.back().timestamp + capture::kEofHorizonSec));
+  std::uint64_t flows = 0;
+  std::uint64_t closed_idle = 0;
+  ASSERT_TRUE(capture::replay(reader, sampler, [&](capture::ConnectionSample&& sample) {
+    ++flows;
+    if (sample.observation_end_sec < eof_end) ++closed_idle;
+    replayed.ingest(sample);
+  }));
+  replayed.record_reader_stats(reader.stats());
+  replayed.record_sampler_stats(sampler.stats());
+
+  EXPECT_EQ(flows, reference_flows);
+  EXPECT_GT(closed_idle, flows / 2);  // most flows close mid-capture
+  EXPECT_EQ(replayed.degraded().total(), 0u);
+  std::ostringstream want, got;
+  analysis::write_radar_report(want, reference);
+  analysis::write_radar_report(got, replayed);
+  EXPECT_EQ(got.str(), want.str());
 }
 
 class GlobalScenario : public ::testing::Test {

@@ -18,6 +18,10 @@
 #
 #   ln -s ../../tools/precommit.sh .git/hooks/pre-commit
 #
+# Every sanitizer run first configures and builds the whole tree with
+# -DTAMPER_WERROR=ON (build-werror), as CI's tier-1 job does, so a warning
+# that would break that job fails here too.
+#
 # Extra arguments are forwarded to ctest. Build trees are kept per
 # sanitizer (build-sanitize-<mode>) so switching modes never causes a full
 # rebuild of the other.
@@ -33,7 +37,7 @@ for arg in "$@"; do
     --sanitizer=*) SANITIZER="${arg#--sanitizer=}" ;;
     --lint-only) LINT_ONLY=1 ;;
     --help|-h)
-      sed -n '2,23p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     *) ARGS+=("$arg") ;;
@@ -67,6 +71,12 @@ if [ "$LINT_ONLY" = 1 ]; then
   exit 0
 fi
 
+werror_build() {
+  echo "== warnings-as-errors build (build dir: build-werror) =="
+  cmake -B build-werror -S . -DTAMPER_WERROR=ON
+  cmake --build build-werror -j "$JOBS"
+}
+
 run_mode() {
   local mode="$1"
   shift
@@ -95,6 +105,10 @@ run_mode() {
   tools/obs_smoke.sh "$build_dir"
   echo "== sanitizer gate passed: $mode =="
 }
+
+case "$SANITIZER" in
+  address|thread|all) werror_build ;;
+esac
 
 case "$SANITIZER" in
   address|thread)

@@ -3,8 +3,9 @@
 //   tamperscope signatures
 //       Print the Table 1 signature taxonomy.
 //
-//   tamperscope classify <capture.pcap> [--json] [--port N]
-//       Assemble flows from a pcap of server-side inbound packets and
+//   tamperscope classify <capture.pcap> [--json] [--strict|--lenient]
+//       Assemble flows from a pcap of server-side inbound packets
+//       (capture::replay: flows close when idle, the rest at EOF) and
 //       classify each against the tampering signatures.
 //
 //   tamperscope simulate [--connections N] [--seed S] [--json report.json]
@@ -94,6 +95,7 @@
 #include "analysis/pipeline.h"
 #include "analysis/report.h"
 #include "analysis/testlists.h"
+#include "capture/replay.h"
 #include "capture/sampler.h"
 #include "common/ids.h"
 #include "common/json.h"
@@ -304,23 +306,18 @@ int cmd_classify(const Args& args) {
     return 1;
   }
   install_signal_handlers();
-  double last_ts = 0.0;
+  std::vector<capture::ConnectionSample> samples;
   bool interrupted = false;
   {
     obs::Tracer::Span sample_span(tracer.get(), obs::stage::kSample,
                                   obs::stage::kCategory);
-    while (auto pkt = reader.next()) {
-      if (service::ShutdownGuard::requested()) {
-        // Stop reading but keep going: classify what we have, report the
-        // degradation honestly, then exit with the conventional signal code.
-        interrupted = true;
-        break;
-      }
-      last_ts = std::max(last_ts, pkt->timestamp);  // hostile clocks can regress
-      sampler.on_packet(*pkt, pkt->timestamp);
-    }
+    // A signal stops reading but not the command: classify what was read,
+    // report the degradation honestly, then exit with the signal's code.
+    interrupted = !capture::replay(
+        reader, sampler,
+        [&](capture::ConnectionSample&& sample) { samples.push_back(std::move(sample)); },
+        [] { return service::ShutdownGuard::requested(); });
   }
-  const auto samples = sampler.flush_all(last_ts + 60.0);
   if (interrupted)
     logger.warn("classify", "interrupted; classifying the flows read so far",
                 {{"signal", std::to_string(service::ShutdownGuard::pending())},
