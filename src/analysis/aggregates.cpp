@@ -4,9 +4,16 @@
 // from the layouts, in linear passes with no per-key lookup and no string
 // copies:
 //   * SignatureMatrix, AsnAggregator, TimeSeries and
-//     VersionProtocolAggregator are ordered maps, written as they iterate.
+//     VersionProtocolAggregator hold counter rows in ordered maps keyed by
+//     country and, for ASNs and hours, nested once more. A row's kCounters
+//     table (aggregates.h) is its layout: the one set of templates below
+//     merges, writes and reads every row and map by walking the tables, so
+//     no codec names a counter. A key is coded by its type: a country as
+//     str, an hour as i64, an AsnId as u32. Restore is map-assignment: the
+//     last value of a duplicated leaf key wins, and a repeated country
+//     keeps all its distinct inner keys.
 //   * OverlapMatrix collects the (key, state) pairs of its flat table and
-//     radix-sorts them by key.
+//     radix-sorts them by key; its transition matrix is walked like a row.
 //   * CategoryAggregator interns each domain and country once, keeps one
 //     entry per (country, domain) with both counts, and sorts each
 //     country's entries by the integer rank of the domain name. The name
@@ -17,6 +24,8 @@
 #include <algorithm>
 #include <array>
 #include <numeric>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "common/rng.h"
@@ -42,25 +51,115 @@ void radix_sort_by_key(std::vector<std::pair<std::uint64_t, std::uint64_t>>& v) 
   }
 }
 
+// ---- counter rows and the maps that hold them ----
+
+/// Calls `f` on the corresponding counters of one or more same-shaped
+/// values: a u64 is one counter, an array is visited element by element.
+template <typename F, typename Counter, typename... More>
+constexpr void each_counter(F&& f, Counter& counter, More&... more) {
+  if constexpr (std::is_integral_v<std::remove_const_t<Counter>>) {
+    f(counter, more...);
+  } else {
+    for (std::size_t i = 0; i < counter.size(); ++i) each_counter(f, counter[i], more[i]...);
+  }
+}
+
+template <typename Row>
+constexpr std::size_t counters_in() {
+  Row row{};
+  std::size_t n = 0;
+  const auto count = [&n](std::uint64_t) { ++n; };
+  std::apply([&](auto... fields) { (each_counter(count, row.*fields), ...); }, Row::kCounters);
+  return n;
+}
+
+/// each_counter over the fields of same-typed rows, in kCounters order.
+template <typename F, typename Row, typename... More>
+constexpr void row_counters(F&& f, Row& row, More&... more) {
+  using Plain = std::remove_const_t<Row>;
+  // A row holds nothing but u64 counters, so a field missing from its
+  // kCounters table shows as a size mismatch.
+  static_assert(sizeof(Plain) == 8 * counters_in<Plain>(), "field missing from kCounters");
+  const auto visit = [&](auto field) { each_counter(f, row.*field, more.*field...); };
+  std::apply([&](auto... fields) { (visit(fields), ...); }, Plain::kCounters);
+}
+
+constexpr auto kAdd = [](std::uint64_t& sum, std::uint64_t v) { sum += v; };
+
+void write_key(common::BinWriter& w, const std::string& cc) { w.str(cc); }
+void write_key(common::BinWriter& w, std::int64_t hour) { w.i64(hour); }
+void write_key(common::BinWriter& w, common::AsnId asn) { w.u32(asn.value()); }
+void read_key(common::BinReader& r, std::string& cc) { cc = r.str(); }
+void read_key(common::BinReader& r, std::int64_t& hour) { hour = r.i64(); }
+void read_key(common::BinReader& r, common::AsnId& asn) { asn = common::AsnId(r.u32()); }
+
+template <typename Row>
+void merge_counts(Row& mine, const Row& theirs) {
+  row_counters(kAdd, mine, theirs);
+}
+template <typename Row>
+void write_counts(common::BinWriter& w, const Row& row) {
+  row_counters([&w](std::uint64_t v) { w.u64(v); }, row);
+}
+template <typename Row>
+void read_counts(common::BinReader& r, Row& row) {
+  row_counters([&r](std::uint64_t& v) { v = r.u64(); }, row);
+}
+
+template <typename K, typename V>
+void merge_counts(std::map<K, V>& mine, const std::map<K, V>& theirs) {
+  for (const auto& [key, value] : theirs) merge_counts(mine[key], value);
+}
+
+template <typename K, typename V>
+void write_counts(common::BinWriter& w, const std::map<K, V>& map) {
+  w.u64(map.size());
+  for (const auto& [key, value] : map) {
+    write_key(w, key);
+    write_counts(w, value);
+  }
+}
+
+/// Map-assignment: a duplicated key reads into the entry already there, so
+/// the last value of a leaf key wins and a repeated outer key keeps its
+/// distinct inner keys.
+template <typename K, typename V>
+void read_counts(common::BinReader& r, std::map<K, V>& map) {
+  const std::uint64_t n = r.u64();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    K key;
+    read_key(r, key);
+    read_counts(r, map[std::move(key)]);
+  }
+}
+
+template <typename V>
+std::vector<std::string> keys_of(const std::map<std::string, V>& map) {
+  std::vector<std::string> out;
+  out.reserve(map.size());
+  for (const auto& [key, value] : map) out.push_back(key);
+  return out;
+}
+
 }  // namespace
 
 // ---- SignatureMatrix ----
 
 void SignatureMatrix::add(const ConnectionRecord& record) {
-  ++total_;
+  ++totals_.total;
   CountryRow& row = rows_[record.country];
   ++row.connections;
   const auto& c = record.classification;
   if (c.possibly_tampered) {
-    ++possibly_;
-    ++stage_possibly_[static_cast<std::size_t>(c.stage)];
+    ++totals_.possibly;
+    ++totals_.stage_possibly[static_cast<std::size_t>(c.stage)];
   }
   if (c.signature) {
-    ++matched_;
-    ++stage_matched_[static_cast<std::size_t>(c.stage)];
+    ++totals_.matched;
+    ++totals_.stage_matched[static_cast<std::size_t>(c.stage)];
     ++row.matches;
     ++row.by_signature[static_cast<std::size_t>(*c.signature)];
-    ++signature_totals_[static_cast<std::size_t>(*c.signature)];
+    ++totals_.signature_totals[static_cast<std::size_t>(*c.signature)];
   }
 }
 
@@ -75,7 +174,7 @@ std::uint64_t SignatureMatrix::count(const std::string& cc, core::Signature sig)
 }
 
 std::uint64_t SignatureMatrix::signature_total(core::Signature sig) const {
-  return signature_totals_[static_cast<std::size_t>(sig)];
+  return totals_.signature_totals[static_cast<std::size_t>(sig)];
 }
 
 std::uint64_t SignatureMatrix::country_matches(const std::string& cc) const {
@@ -84,81 +183,37 @@ std::uint64_t SignatureMatrix::country_matches(const std::string& cc) const {
 }
 
 std::uint64_t SignatureMatrix::stage_possibly(core::Stage stage) const {
-  return stage_possibly_[static_cast<std::size_t>(stage)];
+  return totals_.stage_possibly[static_cast<std::size_t>(stage)];
 }
 
 std::uint64_t SignatureMatrix::stage_matched(core::Stage stage) const {
-  return stage_matched_[static_cast<std::size_t>(stage)];
+  return totals_.stage_matched[static_cast<std::size_t>(stage)];
 }
 
+std::vector<std::string> SignatureMatrix::countries() const { return keys_of(rows_); }
+
 void SignatureMatrix::snapshot(common::BinWriter& w) const {
-  w.u64(total_);
-  w.u64(possibly_);
-  w.u64(matched_);
-  for (std::uint64_t v : signature_totals_) w.u64(v);
-  for (std::uint64_t v : stage_possibly_) w.u64(v);
-  for (std::uint64_t v : stage_matched_) w.u64(v);
-  w.u64(rows_.size());
-  for (const auto& [cc, row] : rows_) {
-    w.str(cc);
-    w.u64(row.connections);
-    w.u64(row.matches);
-    for (std::uint64_t v : row.by_signature) w.u64(v);
-  }
+  write_counts(w, totals_);
+  write_counts(w, rows_);
 }
 
 void SignatureMatrix::restore(common::BinReader& r) {
   *this = SignatureMatrix();
-  total_ = r.u64();
-  possibly_ = r.u64();
-  matched_ = r.u64();
-  for (std::uint64_t& v : signature_totals_) v = r.u64();
-  for (std::uint64_t& v : stage_possibly_) v = r.u64();
-  for (std::uint64_t& v : stage_matched_) v = r.u64();
-  const std::uint64_t rows = r.u64();
-  for (std::uint64_t i = 0; i < rows; ++i) {
-    std::string cc = r.str();
-    CountryRow row;
-    row.connections = r.u64();
-    row.matches = r.u64();
-    for (std::uint64_t& v : row.by_signature) v = r.u64();
-    rows_.emplace(std::move(cc), row);
-  }
-}
-
-std::vector<std::string> SignatureMatrix::countries() const {
-  std::vector<std::string> out;
-  out.reserve(rows_.size());
-  for (const auto& [cc, row] : rows_) out.push_back(cc);
-  return out;
+  read_counts(r, totals_);
+  read_counts(r, rows_);
 }
 
 void SignatureMatrix::merge(const SignatureMatrix& other) {
-  total_ += other.total_;
-  possibly_ += other.possibly_;
-  matched_ += other.matched_;
-  for (std::size_t i = 0; i < signature_totals_.size(); ++i)
-    signature_totals_[i] += other.signature_totals_[i];
-  for (std::size_t i = 0; i < stage_possibly_.size(); ++i)
-    stage_possibly_[i] += other.stage_possibly_[i];
-  for (std::size_t i = 0; i < stage_matched_.size(); ++i)
-    stage_matched_[i] += other.stage_matched_[i];
-  for (const auto& [cc, row] : other.rows_) {
-    CountryRow& mine = rows_[cc];
-    mine.connections += row.connections;
-    mine.matches += row.matches;
-    for (std::size_t i = 0; i < mine.by_signature.size(); ++i)
-      mine.by_signature[i] += row.by_signature[i];
-  }
+  merge_counts(totals_, other.totals_);
+  merge_counts(rows_, other.rows_);
 }
 
 // ---- AsnAggregator ----
 
 void AsnAggregator::add(const ConnectionRecord& record) {
-  AsnStats& stats = by_country_[record.country][record.asn];
-  stats.asn = record.asn;
-  ++stats.connections;
-  if (record.classification.signature) ++stats.matches;
+  AsnCounts& counts = by_country_[record.country][record.asn];
+  ++counts.connections;
+  if (record.classification.signature) ++counts.matches;
 }
 
 std::vector<AsnAggregator::AsnStats> AsnAggregator::top_ases(const std::string& cc,
@@ -166,7 +221,7 @@ std::vector<AsnAggregator::AsnStats> AsnAggregator::top_ases(const std::string& 
   std::vector<AsnStats> out;
   const auto it = by_country_.find(cc);
   if (it == by_country_.end()) return out;
-  for (const auto& [asn, stats] : it->second) out.push_back(stats);
+  for (const auto& [asn, counts] : it->second) out.push_back({counts, asn});
   std::sort(out.begin(), out.end(), [](const AsnStats& a, const AsnStats& b) {
     return a.connections > b.connections;
   });
@@ -184,50 +239,19 @@ std::uint64_t AsnAggregator::country_total(const std::string& cc) const {
   const auto it = by_country_.find(cc);
   if (it == by_country_.end()) return 0;
   std::uint64_t total = 0;
-  for (const auto& [asn, stats] : it->second) total += stats.connections;
+  for (const auto& [asn, counts] : it->second) total += counts.connections;
   return total;
 }
 
 void AsnAggregator::merge(const AsnAggregator& other) {
-  for (const auto& [cc, ases] : other.by_country_) {
-    auto& mine = by_country_[cc];
-    for (const auto& [asn, stats] : ases) {
-      AsnStats& s = mine[asn];
-      s.asn = asn;
-      s.connections += stats.connections;
-      s.matches += stats.matches;
-    }
-  }
+  merge_counts(by_country_, other.by_country_);
 }
 
-void AsnAggregator::snapshot(common::BinWriter& w) const {
-  w.u64(by_country_.size());
-  for (const auto& [cc, ases] : by_country_) {
-    w.str(cc);
-    w.u64(ases.size());
-    for (const auto& [asn, stats] : ases) {
-      w.u32(asn.value());
-      w.u64(stats.connections);
-      w.u64(stats.matches);
-    }
-  }
-}
+void AsnAggregator::snapshot(common::BinWriter& w) const { write_counts(w, by_country_); }
 
 void AsnAggregator::restore(common::BinReader& r) {
   by_country_.clear();
-  const std::uint64_t countries = r.u64();
-  for (std::uint64_t i = 0; i < countries; ++i) {
-    std::string cc = r.str();
-    auto& ases = by_country_[std::move(cc)];
-    const std::uint64_t count = r.u64();
-    for (std::uint64_t j = 0; j < count; ++j) {
-      AsnStats stats;
-      stats.asn = common::AsnId(r.u32());
-      stats.connections = r.u64();
-      stats.matches = r.u64();
-      ases.emplace(stats.asn, stats);
-    }
-  }
+  read_counts(r, by_country_);
 }
 
 // ---- TimeSeries ----
@@ -250,56 +274,15 @@ const std::map<std::int64_t, TimeSeries::HourBucket>& TimeSeries::country_hours(
   return it == series_.end() ? kEmpty : it->second;
 }
 
-std::vector<std::string> TimeSeries::countries() const {
-  std::vector<std::string> out;
-  out.reserve(series_.size());
-  for (const auto& [cc, hours] : series_) out.push_back(cc);
-  return out;
-}
+std::vector<std::string> TimeSeries::countries() const { return keys_of(series_); }
 
-void TimeSeries::merge(const TimeSeries& other) {
-  for (const auto& [cc, hours] : other.series_) {
-    auto& mine = series_[cc];
-    for (const auto& [hour, bucket] : hours) {
-      HourBucket& b = mine[hour];
-      b.connections += bucket.connections;
-      b.post_ack_psh_matches += bucket.post_ack_psh_matches;
-      for (std::size_t i = 0; i < b.by_signature.size(); ++i)
-        b.by_signature[i] += bucket.by_signature[i];
-    }
-  }
-}
+void TimeSeries::merge(const TimeSeries& other) { merge_counts(series_, other.series_); }
 
-void TimeSeries::snapshot(common::BinWriter& w) const {
-  w.u64(series_.size());
-  for (const auto& [cc, hours] : series_) {
-    w.str(cc);
-    w.u64(hours.size());
-    for (const auto& [hour, bucket] : hours) {
-      w.i64(hour);
-      w.u64(bucket.connections);
-      w.u64(bucket.post_ack_psh_matches);
-      for (std::uint64_t v : bucket.by_signature) w.u64(v);
-    }
-  }
-}
+void TimeSeries::snapshot(common::BinWriter& w) const { write_counts(w, series_); }
 
 void TimeSeries::restore(common::BinReader& r) {
   series_.clear();
-  const std::uint64_t countries = r.u64();
-  for (std::uint64_t i = 0; i < countries; ++i) {
-    std::string cc = r.str();
-    auto& hours = series_[std::move(cc)];
-    const std::uint64_t count = r.u64();
-    for (std::uint64_t j = 0; j < count; ++j) {
-      const std::int64_t hour = r.i64();
-      HourBucket bucket;
-      bucket.connections = r.u64();
-      bucket.post_ack_psh_matches = r.u64();
-      for (std::uint64_t& v : bucket.by_signature) v = r.u64();
-      hours.emplace(hour, bucket);
-    }
-  }
+  read_counts(r, series_);
 }
 
 // ---- VersionProtocolAggregator ----
@@ -327,49 +310,16 @@ void VersionProtocolAggregator::add(const ConnectionRecord& record) {
 }
 
 void VersionProtocolAggregator::merge(const VersionProtocolAggregator& other) {
-  for (const auto& [cc, split] : other.by_country_) {
-    Split& mine = by_country_[cc];
-    mine.v4_total += split.v4_total;
-    mine.v4_matches += split.v4_matches;
-    mine.v6_total += split.v6_total;
-    mine.v6_matches += split.v6_matches;
-    mine.tls_total += split.tls_total;
-    mine.tls_psh_matches += split.tls_psh_matches;
-    mine.http_total += split.http_total;
-    mine.http_psh_matches += split.http_psh_matches;
-  }
+  merge_counts(by_country_, other.by_country_);
 }
 
 void VersionProtocolAggregator::snapshot(common::BinWriter& w) const {
-  w.u64(by_country_.size());
-  for (const auto& [cc, split] : by_country_) {
-    w.str(cc);
-    w.u64(split.v4_total);
-    w.u64(split.v4_matches);
-    w.u64(split.v6_total);
-    w.u64(split.v6_matches);
-    w.u64(split.tls_total);
-    w.u64(split.tls_psh_matches);
-    w.u64(split.http_total);
-    w.u64(split.http_psh_matches);
-  }
+  write_counts(w, by_country_);
 }
 
 void VersionProtocolAggregator::restore(common::BinReader& r) {
   by_country_.clear();
-  const std::uint64_t countries = r.u64();
-  for (std::uint64_t i = 0; i < countries; ++i) {
-    std::string cc = r.str();
-    Split& split = by_country_[std::move(cc)];
-    split.v4_total = r.u64();
-    split.v4_matches = r.u64();
-    split.v6_total = r.u64();
-    split.v6_matches = r.u64();
-    split.tls_total = r.u64();
-    split.tls_psh_matches = r.u64();
-    split.http_total = r.u64();
-    split.http_psh_matches = r.u64();
-  }
+  read_counts(r, by_country_);
 }
 
 // ---- CategoryAggregator ----
@@ -574,8 +524,7 @@ void OverlapMatrix::merge(const OverlapMatrix& other) {
     const auto [first, inserted] = first_state_.try_emplace(key, state);
     if (!inserted && state < *first) *first = state;
   });
-  for (std::size_t i = 0; i < kStates; ++i)
-    for (std::size_t j = 0; j < kStates; ++j) matrix_[i][j] += other.matrix_[i][j];
+  each_counter(kAdd, matrix_, other.matrix_);
 }
 
 void OverlapMatrix::snapshot(common::BinWriter& w) const {
@@ -590,8 +539,7 @@ void OverlapMatrix::snapshot(common::BinWriter& w) const {
     w.u64(key);
     w.u64(state);
   }
-  for (const auto& row : matrix_)
-    for (std::uint64_t v : row) w.u64(v);
+  each_counter([&w](std::uint64_t v) { w.u64(v); }, matrix_);
 }
 
 void OverlapMatrix::restore(common::BinReader& r) {
@@ -605,8 +553,7 @@ void OverlapMatrix::restore(common::BinReader& r) {
     const auto state = static_cast<std::uint8_t>(std::min<std::uint64_t>(r.u64(), kStates - 1));
     *first_state_.try_emplace(key, state).first = state;
   }
-  for (auto& row : matrix_)
-    for (std::uint64_t& v : row) v = r.u64();
+  each_counter([&r](std::uint64_t& v) { v = r.u64(); }, matrix_);
 }
 
 std::uint64_t OverlapMatrix::row_total(std::size_t first_state) const {

@@ -9,6 +9,12 @@
 // and a central merger can combine the partials in any order — and any
 // grouping — without changing a byte of the merged output
 // (tests/test_fleet.cpp pins the three laws against serialized state).
+//
+// The per-country aggregators keep their counts in rows: structs of u64
+// counters (or arrays of them) whose kCounters table lists every field
+// once, in checkpoint-v4 byte order. The table is the row's layout: merge,
+// snapshot and restore all walk it (aggregates.cpp), so reordering it
+// changes the checkpoint and partial bytes and is a version bump.
 #pragma once
 
 #include <array>
@@ -19,6 +25,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "analysis/record.h"
@@ -38,13 +45,13 @@ class SignatureMatrix {
  public:
   void add(const ConnectionRecord& record);
 
-  [[nodiscard]] std::uint64_t total_connections() const noexcept { return total_; }
+  [[nodiscard]] std::uint64_t total_connections() const noexcept { return totals_.total; }
   [[nodiscard]] std::uint64_t country_connections(const std::string& cc) const;
   [[nodiscard]] std::uint64_t count(const std::string& cc, core::Signature sig) const;
   [[nodiscard]] std::uint64_t signature_total(core::Signature sig) const;
   [[nodiscard]] std::uint64_t country_matches(const std::string& cc) const;
-  [[nodiscard]] std::uint64_t possibly_tampered() const noexcept { return possibly_; }
-  [[nodiscard]] std::uint64_t matched() const noexcept { return matched_; }
+  [[nodiscard]] std::uint64_t possibly_tampered() const noexcept { return totals_.possibly; }
+  [[nodiscard]] std::uint64_t matched() const noexcept { return totals_.matched; }
   /// Possibly-tampered / matched counts per connection stage (Table 1 text).
   [[nodiscard]] std::uint64_t stage_possibly(core::Stage stage) const;
   [[nodiscard]] std::uint64_t stage_matched(core::Stage stage) const;
@@ -55,6 +62,8 @@ class SignatureMatrix {
     std::array<std::uint64_t, core::kSignatureCount> by_signature{};
     std::uint64_t connections = 0;
     std::uint64_t matches = 0;
+    static constexpr std::tuple kCounters{&CountryRow::connections, &CountryRow::matches,
+                                          &CountryRow::by_signature};
   };
   /// Direct read-only view of the per-country rows, sorted by country code.
   /// The trends rollup iterates this instead of countries() + per-country
@@ -71,13 +80,21 @@ class SignatureMatrix {
   void restore(common::BinReader& r);
 
  private:
+  /// The all-country header, written before the per-country rows.
+  struct Totals {
+    std::uint64_t total = 0;
+    std::uint64_t possibly = 0;
+    std::uint64_t matched = 0;
+    std::array<std::uint64_t, core::kSignatureCount> signature_totals{};
+    std::array<std::uint64_t, 5> stage_possibly{};
+    std::array<std::uint64_t, 5> stage_matched{};
+    static constexpr std::tuple kCounters{&Totals::total, &Totals::possibly, &Totals::matched,
+                                          &Totals::signature_totals, &Totals::stage_possibly,
+                                          &Totals::stage_matched};
+  };
+
+  Totals totals_;
   std::map<std::string, CountryRow> rows_;
-  std::array<std::uint64_t, core::kSignatureCount> signature_totals_{};
-  std::array<std::uint64_t, 5> stage_possibly_{};
-  std::array<std::uint64_t, 5> stage_matched_{};
-  std::uint64_t total_ = 0;
-  std::uint64_t possibly_ = 0;
-  std::uint64_t matched_ = 0;
 };
 
 /// Per-AS match proportions within each country (Figure 5).
@@ -85,10 +102,14 @@ class AsnAggregator {
  public:
   void add(const ConnectionRecord& record);
 
-  struct AsnStats {
-    common::AsnId asn{};
+  /// One AS's counts within a country; the map key is the AS.
+  struct AsnCounts {
     std::uint64_t connections = 0;
     std::uint64_t matches = 0;
+    static constexpr std::tuple kCounters{&AsnCounts::connections, &AsnCounts::matches};
+  };
+  struct AsnStats : AsnCounts {
+    common::AsnId asn{};
     [[nodiscard]] double match_percent() const noexcept {
       return connections == 0 ? 0.0
                               : 100.0 * static_cast<double>(matches) /
@@ -110,7 +131,7 @@ class AsnAggregator {
  private:
   /// Keyed by strong id; AsnId orders by its raw rep, so snapshot bytes
   /// are unchanged from the u32-keyed layout.
-  std::map<std::string, std::map<common::AsnId, AsnStats>> by_country_;
+  std::map<std::string, std::map<common::AsnId, AsnCounts>> by_country_;
 };
 
 /// Hourly time series of match rates (Figures 6, 8, 9).
@@ -127,6 +148,9 @@ class TimeSeries {
     std::uint64_t connections = 0;
     std::uint64_t post_ack_psh_matches = 0;
     std::array<std::uint64_t, core::kSignatureCount> by_signature{};
+    static constexpr std::tuple kCounters{&HourBucket::connections,
+                                          &HourBucket::post_ack_psh_matches,
+                                          &HourBucket::by_signature};
   };
   /// Buckets keyed by hour index (epoch seconds / 3600) for one country.
   [[nodiscard]] const std::map<std::int64_t, HourBucket>& country_hours(
@@ -153,6 +177,9 @@ class VersionProtocolAggregator {
     std::uint64_t v6_total = 0, v6_matches = 0;
     std::uint64_t tls_total = 0, tls_psh_matches = 0;  ///< Post-PSH matches
     std::uint64_t http_total = 0, http_psh_matches = 0;
+    static constexpr std::tuple kCounters{
+        &Split::v4_total,  &Split::v4_matches,      &Split::v6_total,   &Split::v6_matches,
+        &Split::tls_total, &Split::tls_psh_matches, &Split::http_total, &Split::http_psh_matches};
   };
   [[nodiscard]] const std::map<std::string, Split>& by_country() const noexcept {
     return by_country_;

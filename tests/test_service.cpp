@@ -12,6 +12,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <initializer_list>
 #include <iterator>
 #include <memory>
 #include <optional>
@@ -21,10 +23,12 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/aggregates.h"
 #include "analysis/pipeline.h"
 #include "analysis/report.h"
 #include "common/binio.h"
 #include "common/bounded_queue.h"
+#include "core/signature.h"
 #include "fault/chaos.h"
 #include "fleet/partial.h"
 #include "service/checkpoint.h"
@@ -580,6 +584,103 @@ TEST(Checkpoint, OverlapRestoreKeepsLastDuplicateAndClampsStates) {
   EXPECT_EQ(out.bytes(), expected.bytes());
 }
 
+/// `values`, then zeros up to `width` counters: one hand-built counter row.
+void put_row(common::BinWriter& w, std::size_t width,
+             std::initializer_list<std::uint64_t> values) {
+  for (std::uint64_t v : values) w.u64(v);
+  for (std::size_t i = values.size(); i < width; ++i) w.u64(0);
+}
+
+constexpr std::size_t kMatrixHeaderWidth = 3 + core::kSignatureCount + 5 + 5;
+constexpr std::size_t kSignatureRowWidth = 2 + core::kSignatureCount;  // country or hour row
+constexpr std::size_t kAsnRowWidth = 2;
+constexpr std::size_t kSplitWidth = 8;
+
+// The per-country aggregators restore the same way: a duplicated leaf key
+// (a country row, an hour, an ASN) keeps its last value, and a repeated
+// country keeps every distinct inner key.
+TEST(Checkpoint, PerCountryRestoreKeepsLastDuplicate) {
+  const auto expect_restores_to = [](auto aggregate, const common::BinWriter& in,
+                                     const common::BinWriter& expected) {
+    common::BinReader r(in.bytes());
+    aggregate.restore(r);
+    EXPECT_TRUE(r.exhausted());
+    common::BinWriter out;
+    aggregate.snapshot(out);
+    EXPECT_EQ(out.bytes(), expected.bytes());
+  };
+  {
+    common::BinWriter in, expected;
+    put_row(in, kMatrixHeaderWidth, {5, 2, 1});
+    in.u64(2);
+    in.str("CN");
+    put_row(in, kSignatureRowWidth, {1});
+    in.str("CN");
+    put_row(in, kSignatureRowWidth, {4, 2, 2});
+    put_row(expected, kMatrixHeaderWidth, {5, 2, 1});
+    expected.u64(1);
+    expected.str("CN");
+    put_row(expected, kSignatureRowWidth, {4, 2, 2});
+    expect_restores_to(analysis::SignatureMatrix(), in, expected);
+  }
+  {
+    common::BinWriter in, expected;
+    in.u64(2);
+    in.str("CN");
+    in.u64(2);
+    in.u32(13335);
+    put_row(in, kAsnRowWidth, {1, 0});
+    in.u32(13335);
+    put_row(in, kAsnRowWidth, {4, 3});
+    in.str("CN");
+    in.u64(1);
+    in.u32(15169);
+    put_row(in, kAsnRowWidth, {2, 1});
+    expected.u64(1);
+    expected.str("CN");
+    expected.u64(2);
+    expected.u32(13335);
+    put_row(expected, kAsnRowWidth, {4, 3});
+    expected.u32(15169);
+    put_row(expected, kAsnRowWidth, {2, 1});
+    expect_restores_to(analysis::AsnAggregator(), in, expected);
+  }
+  {
+    common::BinWriter in, expected;
+    in.u64(2);
+    in.str("CN");
+    in.u64(2);
+    in.i64(10);
+    put_row(in, kSignatureRowWidth, {1});
+    in.i64(10);
+    put_row(in, kSignatureRowWidth, {6, 2, 0, 2});
+    in.str("CN");
+    in.u64(1);
+    in.i64(11);
+    put_row(in, kSignatureRowWidth, {3});
+    expected.u64(1);
+    expected.str("CN");
+    expected.u64(2);
+    expected.i64(10);
+    put_row(expected, kSignatureRowWidth, {6, 2, 0, 2});
+    expected.i64(11);
+    put_row(expected, kSignatureRowWidth, {3});
+    expect_restores_to(analysis::TimeSeries(), in, expected);
+  }
+  {
+    common::BinWriter in, expected;
+    in.u64(2);
+    in.str("CN");
+    put_row(in, kSplitWidth, {1, 2, 3, 4, 5, 6, 7, 8});
+    in.str("CN");
+    put_row(in, kSplitWidth, {8, 7, 6, 5, 4, 3, 2, 1});
+    expected.u64(1);
+    expected.str("CN");
+    put_row(expected, kSplitWidth, {8, 7, 6, 5, 4, 3, 2, 1});
+    expect_restores_to(analysis::VersionProtocolAggregator(), in, expected);
+  }
+}
+
 /// A checkpoint image around an arbitrary payload, with a valid envelope and
 /// checksum, so a test reaches the restore path with bytes of its choosing.
 std::vector<std::uint8_t> checkpoint_around(const std::vector<std::uint8_t>& payload) {
@@ -596,16 +697,24 @@ std::vector<std::uint8_t> checkpoint_around(const std::vector<std::uint8_t>& pay
 }
 
 /// Checkpoint meta plus an empty pipeline's snapshot up to (not including)
-/// its category block.
-common::BinWriter payload_before_categories() {
+/// the block of its `aggregate`-th aggregate, in Pipeline::snapshot order
+/// (0 = signatures, 1 = asns, ... 4 = categories, ... 7 = trends).
+common::BinWriter payload_before(std::size_t aggregate) {
   const analysis::Pipeline empty(shared_world());
   common::BinWriter whole;
   empty.snapshot(whole);
+  const std::function<void(common::BinWriter&)> blocks[] = {
+      [&](common::BinWriter& w) { empty.signatures().snapshot(w); },
+      [&](common::BinWriter& w) { empty.asns().snapshot(w); },
+      [&](common::BinWriter& w) { empty.timeseries().snapshot(w); },
+      [&](common::BinWriter& w) { empty.version_protocol().snapshot(w); },
+      [&](common::BinWriter& w) { empty.categories().snapshot(w); },
+      [&](common::BinWriter& w) { empty.overlap().snapshot(w); },
+      [&](common::BinWriter& w) { empty.evidence().snapshot(w); },
+      [&](common::BinWriter& w) { empty.trends().snapshot(w); },
+  };
   common::BinWriter tail;
-  empty.categories().snapshot(tail);
-  empty.overlap().snapshot(tail);
-  empty.evidence().snapshot(tail);
-  empty.trends().snapshot(tail);
+  for (std::size_t i = aggregate; i < std::size(blocks); ++i) blocks[i](tail);
   common::BinWriter w;
   w.u64(0);  // CheckpointMeta
   w.u64(0);
@@ -613,6 +722,8 @@ common::BinWriter payload_before_categories() {
     w.u8(whole.bytes()[i]);
   return w;
 }
+
+common::BinWriter payload_before_categories() { return payload_before(4); }
 
 // A block that declares 2^40 entries over a short payload is refused by the
 // per-entry reads (BinUnderrun), not by an allocation sized from the
@@ -640,6 +751,71 @@ TEST(Checkpoint, HostileOverlapCountIsCleanlyRefused) {
   const auto load = service::decode_checkpoint(checkpoint_around(w.bytes()), target);
   EXPECT_FALSE(load.ok);
   EXPECT_NE(load.error.find("truncated"), std::string::npos) << load.error;
+}
+
+TEST(Checkpoint, HostilePerCountryCountIsCleanlyRefused) {
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+  struct Case {
+    const char* name;
+    std::size_t aggregate;  ///< payload_before() index
+    std::function<void(common::BinWriter&)> block;
+  };
+  const Case cases[] = {
+      {"signature rows", 0,
+       [](common::BinWriter& w) {
+         put_row(w, kMatrixHeaderWidth, {});
+         w.u64(kHuge);
+         w.str("CN");
+         put_row(w, kSignatureRowWidth, {1});
+       }},
+      {"asn countries", 1,
+       [](common::BinWriter& w) {
+         w.u64(kHuge);
+         w.str("CN");
+         w.u64(1);
+         w.u32(13335);
+         put_row(w, kAsnRowWidth, {1});
+       }},
+      {"asn entries", 1,
+       [](common::BinWriter& w) {
+         w.u64(1);
+         w.str("CN");
+         w.u64(kHuge);
+         w.u32(13335);
+         put_row(w, kAsnRowWidth, {1});
+       }},
+      {"timeseries countries", 2,
+       [](common::BinWriter& w) {
+         w.u64(kHuge);
+         w.str("CN");
+         w.u64(1);
+         w.i64(10);
+         put_row(w, kSignatureRowWidth, {1});
+       }},
+      {"timeseries hours", 2,
+       [](common::BinWriter& w) {
+         w.u64(1);
+         w.str("CN");
+         w.u64(kHuge);
+         w.i64(10);
+         put_row(w, kSignatureRowWidth, {1});
+       }},
+      {"version/protocol countries", 3,
+       [](common::BinWriter& w) {
+         w.u64(kHuge);
+         w.str("CN");
+         put_row(w, kSplitWidth, {1});
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    common::BinWriter w = payload_before(c.aggregate);
+    c.block(w);
+    analysis::Pipeline target(shared_world());
+    const auto load = service::decode_checkpoint(checkpoint_around(w.bytes()), target);
+    EXPECT_FALSE(load.ok);
+    EXPECT_NE(load.error.find("truncated"), std::string::npos) << load.error;
+  }
 }
 
 // ------------------------------------------------------------ sink/emit --

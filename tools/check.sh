@@ -20,7 +20,10 @@
 #
 # Every sanitizer run first configures and builds the whole tree with
 # -DTAMPER_WERROR=ON (build-werror), as CI's tier-1 job does, so a warning
-# that would break that job fails here too.
+# that would break that job fails here too. It then builds the benchmark
+# (perfbench/run.py --self-test): perfbench compiles the src/ modules it
+# needs outside the top-level build, which therefore misses a src/ API
+# change that breaks it.
 #
 # Extra arguments are forwarded to ctest. Build trees are kept per
 # sanitizer (build-sanitize-<mode>) so switching modes never causes a full
@@ -37,7 +40,7 @@ for arg in "$@"; do
     --sanitizer=*) SANITIZER="${arg#--sanitizer=}" ;;
     --lint-only) LINT_ONLY=1 ;;
     --help|-h)
-      sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//'
+      sed -n '2,30p' "$0" | sed 's/^# \{0,1\}//'
       exit 0
       ;;
     *) ARGS+=("$arg") ;;
@@ -75,6 +78,8 @@ werror_build() {
   echo "== warnings-as-errors build (build dir: build-werror) =="
   cmake -B build-werror -S . -DTAMPER_WERROR=ON
   cmake --build build-werror -j "$JOBS"
+  echo "== benchmark build and self-test (build dir: .bench_build) =="
+  python3 perfbench/run.py --self-test
 }
 
 run_mode() {
