@@ -111,6 +111,41 @@ void merge_counts(std::map<K, V>& mine, const std::map<K, V>& theirs) {
   for (const auto& [key, value] : theirs) merge_counts(mine[key], value);
 }
 
+/// What growth_counts found: the new state does not extend the old one, is
+/// the same, or grew.
+enum class Growth : std::uint8_t { kRefused, kSame, kGrew };
+
+/// growth = now - old, counter by counter; refused if any counter fell.
+template <typename Row>
+Growth growth_counts(const Row& old, const Row& now, Row& growth) {
+  CounterDiff diff;
+  row_counters(diff, old, now, growth);
+  return diff.fell ? Growth::kRefused : diff.grew ? Growth::kGrew : Growth::kSame;
+}
+
+/// Walks both maps in key order. A new key is growth as a whole, even when
+/// its row is zero (merge creates the key); a kept key enters `growth` only
+/// when its row grew; a vanished key refuses.
+template <typename K, typename V>
+Growth growth_counts(const std::map<K, V>& old, const std::map<K, V>& now,
+                     std::map<K, V>& growth) {
+  auto was = old.begin();
+  for (const auto& [key, value] : now) {
+    if (was != old.end() && old.key_comp()(was->first, key)) return Growth::kRefused;
+    if (was == old.end() || old.key_comp()(key, was->first)) {
+      growth.emplace_hint(growth.end(), key, value);
+      continue;
+    }
+    V d{};
+    const Growth g = growth_counts(was->second, value, d);
+    ++was;
+    if (g == Growth::kRefused) return g;
+    if (g == Growth::kGrew) growth.emplace_hint(growth.end(), key, std::move(d));
+  }
+  if (was != old.end()) return Growth::kRefused;
+  return growth.empty() ? Growth::kSame : Growth::kGrew;
+}
+
 template <typename K, typename V>
 void write_counts(common::BinWriter& w, const std::map<K, V>& map) {
   w.u64(map.size());
@@ -208,6 +243,12 @@ void SignatureMatrix::merge(const SignatureMatrix& other) {
   merge_counts(rows_, other.rows_);
 }
 
+bool SignatureMatrix::growth_since(const SignatureMatrix& old,
+                                   SignatureMatrix& growth) const {
+  return growth_counts(old.totals_, totals_, growth.totals_) != Growth::kRefused &&
+         growth_counts(old.rows_, rows_, growth.rows_) != Growth::kRefused;
+}
+
 // ---- AsnAggregator ----
 
 void AsnAggregator::add(const ConnectionRecord& record) {
@@ -247,6 +288,11 @@ void AsnAggregator::merge(const AsnAggregator& other) {
   merge_counts(by_country_, other.by_country_);
 }
 
+bool AsnAggregator::growth_since(const AsnAggregator& old, AsnAggregator& growth) const {
+  return growth_counts(old.by_country_, by_country_, growth.by_country_) !=
+         Growth::kRefused;
+}
+
 void AsnAggregator::snapshot(common::BinWriter& w) const { write_counts(w, by_country_); }
 
 void AsnAggregator::restore(common::BinReader& r) {
@@ -277,6 +323,10 @@ const std::map<std::int64_t, TimeSeries::HourBucket>& TimeSeries::country_hours(
 std::vector<std::string> TimeSeries::countries() const { return keys_of(series_); }
 
 void TimeSeries::merge(const TimeSeries& other) { merge_counts(series_, other.series_); }
+
+bool TimeSeries::growth_since(const TimeSeries& old, TimeSeries& growth) const {
+  return growth_counts(old.series_, series_, growth.series_) != Growth::kRefused;
+}
 
 void TimeSeries::snapshot(common::BinWriter& w) const { write_counts(w, series_); }
 
@@ -311,6 +361,12 @@ void VersionProtocolAggregator::add(const ConnectionRecord& record) {
 
 void VersionProtocolAggregator::merge(const VersionProtocolAggregator& other) {
   merge_counts(by_country_, other.by_country_);
+}
+
+bool VersionProtocolAggregator::growth_since(const VersionProtocolAggregator& old,
+                                             VersionProtocolAggregator& growth) const {
+  return growth_counts(old.by_country_, by_country_, growth.by_country_) !=
+         Growth::kRefused;
 }
 
 void VersionProtocolAggregator::snapshot(common::BinWriter& w) const {
@@ -445,6 +501,56 @@ void CategoryAggregator::merge(const CategoryAggregator& other) {
   }
 }
 
+bool CategoryAggregator::growth_since(const CategoryAggregator& old,
+                                      CategoryAggregator& growth) const {
+  // Our ids -> old's, looked up once per domain rather than once per entry.
+  constexpr NameId kUnmapped = ~NameId{0};
+  constexpr NameId kAbsent = kUnmapped - 1;
+  std::vector<NameId> theirs(names_.size(), kUnmapped);
+  std::size_t countries_kept = 0;
+  for (std::uint32_t c = 0; c < by_country_.size(); ++c) {
+    const std::string_view cc = country_ids_.name(c);
+    const CountryData* was = old.find_country(cc);
+    // A new country is growth even when empty (merge creates it); a kept
+    // one enters `growth` with its first grown entry.
+    CountryData* out = was == nullptr ? &growth.country(cc) : nullptr;
+    if (was != nullptr) ++countries_kept;
+    std::size_t entries_kept = 0;
+    bool refused = false;
+    by_country_[c].by_domain.for_each([&](NameId id, const DomainCounts& is) {
+      if (refused) return;
+      DomainCounts d = is;
+      if (was != nullptr) {
+        NameId& old_id = theirs[id];
+        if (old_id == kUnmapped)
+          old_id = old.names_.find(names_.name(id)).value_or(kAbsent);
+        const DomainCounts* prior =
+            old_id == kAbsent ? nullptr : was->by_domain.find(old_id);
+        if (prior != nullptr) {
+          ++entries_kept;
+          if (is.tampered < prior->tampered || is.seen < prior->seen ||
+              (prior->present & ~is.present) != 0) {
+            refused = true;
+            return;
+          }
+          d.tampered -= prior->tampered;
+          d.seen -= prior->seen;
+          if (d.tampered == 0 && d.seen == 0 && is.present == prior->present) return;
+        }
+      }
+      if (out == nullptr) out = &growth.country(cc);
+      DomainCounts& sum =
+          *out->by_domain.try_emplace(growth.names_.intern(names_.name(id)), {}).first;
+      sum.tampered = d.tampered;
+      sum.seen = d.seen;
+      if ((is.present & kInTampered) != 0) mark(*out, sum, kInTampered);
+      if ((is.present & kInSeen) != 0) mark(*out, sum, kInSeen);
+    });
+    if (refused || (was != nullptr && entries_kept != was->by_domain.size())) return false;
+  }
+  return countries_kept == old.by_country_.size();
+}
+
 void CategoryAggregator::snapshot(common::BinWriter& w) const {
   struct Entry {
     std::uint32_t rank;
@@ -520,11 +626,34 @@ void OverlapMatrix::add(const ConnectionRecord& record) {
 }
 
 void OverlapMatrix::merge(const OverlapMatrix& other) {
+  // Room first: other's keys arrive in its slot order, which is hash order,
+  // and a smaller table would wrap them onto its filled slots and probe
+  // through one ever-longer cluster.
+  first_state_.reserve(first_state_.size() + other.first_state_.size());
   other.first_state_.for_each([&](std::uint64_t key, std::uint8_t state) {
     const auto [first, inserted] = first_state_.try_emplace(key, state);
     if (!inserted && state < *first) *first = state;
   });
   each_counter(kAdd, matrix_, other.matrix_);
+}
+
+bool OverlapMatrix::growth_since(const OverlapMatrix& old, OverlapMatrix& growth) const {
+  std::size_t kept = 0;
+  bool refused = false;
+  first_state_.for_each([&](std::uint64_t key, std::uint8_t state) {
+    const std::uint8_t* first = old.first_state_.find(key);
+    if (first == nullptr) {
+      growth.first_state_.try_emplace(key, state);
+    } else if (*first == state) {
+      ++kept;
+    } else {
+      refused = true;
+    }
+  });
+  if (refused || kept != old.first_state_.size()) return false;
+  CounterDiff diff;
+  each_counter(diff, old.matrix_, matrix_, growth.matrix_);
+  return !diff.fell;
 }
 
 void OverlapMatrix::snapshot(common::BinWriter& w) const {

@@ -10,6 +10,13 @@
 // grouping — without changing a byte of the merged output
 // (tests/test_fleet.cpp pins the three laws against serialized state).
 //
+// Every aggregator also has a growth operation: for states S and S',
+// S'.growth_since(S, D) writes the D with S ⊕ D == S' and refuses when S'
+// does not extend S (a count fell, a key vanished). A merger that holds a
+// standing fold of many states then folds in only D when one of them
+// grows, and the laws above keep the result byte-identical to a fresh
+// fold (GrowthLaws.* in tests/test_fleet.cpp).
+//
 // The per-country aggregators keep their counts in rows: structs of u64
 // counters (or arrays of them) whose kCounters table lists every field
 // once, in checkpoint-v4 byte order. The table is the row's layout: merge,
@@ -37,6 +44,20 @@
 #include "world/category.h"
 
 namespace tamper::analysis {
+
+/// One counter of a growth (see above): d = is - was, noting whether any
+/// counter fell (the new state then does not extend the old) or grew.
+/// Every growth_since walks its counters through one of these, as merge
+/// walks them through a sum.
+struct CounterDiff {
+  bool fell = false;
+  bool grew = false;
+  void operator()(std::uint64_t was, std::uint64_t is, std::uint64_t& d) noexcept {
+    fell |= is < was;
+    d = is - was;
+    grew |= d != 0;
+  }
+};
 
 /// Counts of signature matches cross-tabulated by country.
 /// Figure 1 reads columns (country composition of each signature);
@@ -75,6 +96,10 @@ class SignatureMatrix {
 
   /// Pointwise count sum (commutative monoid).
   void merge(const SignatureMatrix& other);
+  /// Pointwise count difference; refuses a fallen count or a vanished
+  /// country.
+  [[nodiscard]] bool growth_since(const SignatureMatrix& old,
+                                  SignatureMatrix& growth) const;
 
   void snapshot(common::BinWriter& w) const;
   void restore(common::BinReader& r);
@@ -124,6 +149,8 @@ class AsnAggregator {
 
   /// Pointwise count sum (commutative monoid).
   void merge(const AsnAggregator& other);
+  /// Pointwise count difference; refuses a fallen count or a vanished key.
+  [[nodiscard]] bool growth_since(const AsnAggregator& old, AsnAggregator& growth) const;
 
   void snapshot(common::BinWriter& w) const;
   void restore(common::BinReader& r);
@@ -159,6 +186,8 @@ class TimeSeries {
 
   /// Pointwise bucket sum (commutative monoid).
   void merge(const TimeSeries& other);
+  /// Pointwise count difference; refuses a fallen count or a vanished key.
+  [[nodiscard]] bool growth_since(const TimeSeries& old, TimeSeries& growth) const;
 
   void snapshot(common::BinWriter& w) const;
   void restore(common::BinReader& r);
@@ -187,6 +216,9 @@ class VersionProtocolAggregator {
 
   /// Pointwise split sum (commutative monoid).
   void merge(const VersionProtocolAggregator& other);
+  /// Pointwise count difference; refuses a fallen count or a vanished key.
+  [[nodiscard]] bool growth_since(const VersionProtocolAggregator& old,
+                                  VersionProtocolAggregator& growth) const;
 
   void snapshot(common::BinWriter& w) const;
   void restore(common::BinReader& r);
@@ -224,6 +256,9 @@ class CategoryAggregator {
   /// Pointwise per-domain count sum (commutative monoid; lookup_ is config
   /// and never merged).
   void merge(const CategoryAggregator& other);
+  /// Per (country, domain): refuses a fallen count or a lost presence bit.
+  [[nodiscard]] bool growth_since(const CategoryAggregator& old,
+                                  CategoryAggregator& growth) const;
 
   /// Serializes the per-domain counts only; the category lookup is config,
   /// re-injected by whoever constructs the restoring aggregator. Per
@@ -294,6 +329,9 @@ class OverlapMatrix {
   /// "first" — the smaller state wins, which keeps merge commutative and
   /// associative (min is).
   void merge(const OverlapMatrix& other);
+  /// New pairs plus the transition-count difference; refuses a vanished
+  /// pair or one whose first state changed.
+  [[nodiscard]] bool growth_since(const OverlapMatrix& old, OverlapMatrix& growth) const;
 
   void snapshot(common::BinWriter& w) const;
   void restore(common::BinReader& r);

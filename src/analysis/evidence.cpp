@@ -103,6 +103,39 @@ void EvidenceCollector::merge(const EvidenceCollector& other) {
   }
 }
 
+bool EvidenceCollector::growth_since(const EvidenceCollector& old,
+                                     EvidenceCollector& growth) const {
+  if (cap_ < old.cap_) return false;
+  growth.cap_ = cap_;
+  // A sorted walk: every old sample must pair with an equal one of ours;
+  // ours that pair with none are the growth.
+  const auto grow = [](const common::EmpiricalCdf& was, const common::EmpiricalCdf& is,
+                       common::EmpiricalCdf& out) {
+    if (is.count() < was.count()) return false;
+    const std::vector<double> old_samples = was.sorted_samples();
+    std::vector<double> extra;
+    extra.reserve(is.count() - was.count());
+    std::size_t i = 0;
+    for (const double v : is.sorted_samples()) {
+      if (i < old_samples.size() && old_samples[i] == v) {
+        ++i;
+      } else if (i < old_samples.size() && old_samples[i] < v) {
+        return false;  // old_samples[i] is not among ours
+      } else {
+        extra.push_back(v);
+      }
+    }
+    if (i != old_samples.size()) return false;
+    out.assign(std::move(extra));
+    return true;
+  };
+  for (std::size_t b = 0; b < kBuckets; ++b)
+    if (!grow(old.ipid_[b], ipid_[b], growth.ipid_[b]) ||
+        !grow(old.ttl_[b], ttl_[b], growth.ttl_[b]))
+      return false;
+  return true;
+}
+
 void EvidenceCollector::snapshot(common::BinWriter& w) const {
   w.u64(cap_);
   for (const auto& cdf : ipid_) write_cdf(w, cdf);

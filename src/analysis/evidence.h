@@ -59,6 +59,10 @@ class EvidenceCollector {
   /// depend on merge order and break associativity. A merged bucket may
   /// therefore hold up to cap × PoP-count samples.
   void merge(const EvidenceCollector& other);
+  /// The samples beyond `old`'s in each bucket; refuses when `old`'s are
+  /// not a sub-multiset of ours, or the cap fell.
+  [[nodiscard]] bool growth_since(const EvidenceCollector& old,
+                                  EvidenceCollector& growth) const;
 
   void snapshot(common::BinWriter& w) const;
   void restore(common::BinReader& r);

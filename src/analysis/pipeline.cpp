@@ -1,5 +1,7 @@
 #include "analysis/pipeline.h"
 
+#include <algorithm>
+
 namespace tamper::analysis {
 
 namespace {
@@ -315,6 +317,40 @@ void Pipeline::merge_from(const Pipeline& other) {
   overlap_.merge(other.overlap_);
   evidence_.merge(other.evidence_);
   trends_.merge_from(other.trends_);
+}
+
+bool Pipeline::growth_since(const Pipeline& old, Pipeline& growth) const {
+  CounterDiff diff;
+  {
+    const DegradedStats was = old.degraded();
+    const DegradedStats is = degraded();
+    common::MutexLock lock(growth.stats_mu_);
+    for (const DegradedCause& cause : kDegradedCauses)
+      diff(was.*cause.field, is.*cause.field, growth.degraded_.*cause.field);
+  }
+  for (const auto field : kScannerFields)
+    diff(old.scanner_.*field, scanner_.*field, growth.scanner_.*field);
+  if (diff.fell) return false;
+  // latest_ts_sec merges by max, so D carries ours when it rose and the
+  // identity's 0 when it did not (ours, when that is negative, so that
+  // old ⊕ D stays at old).
+  if (latest_ts_sec_ < old.latest_ts_sec_) return false;
+  growth.latest_ts_sec_ = latest_ts_sec_ > old.latest_ts_sec_
+                              ? latest_ts_sec_
+                              : std::min<std::int64_t>(latest_ts_sec_, 0);
+
+  return matrix_.growth_since(old.matrix_, growth.matrix_) &&
+         asns_.growth_since(old.asns_, growth.asns_) &&
+         timeseries_.growth_since(old.timeseries_, growth.timeseries_) &&
+         version_protocol_.growth_since(old.version_protocol_, growth.version_protocol_) &&
+         categories_.growth_since(old.categories_, growth.categories_) &&
+         overlap_.growth_since(old.overlap_, growth.overlap_) &&
+         evidence_.growth_since(old.evidence_, growth.evidence_);
+}
+
+void Pipeline::refold_trends(const std::vector<const obs::EpochRing*>& rings) {
+  trends_ = obs::EpochRing();
+  for (const obs::EpochRing* ring : rings) trends_.merge_from(*ring);
 }
 
 }  // namespace tamper::analysis

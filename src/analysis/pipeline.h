@@ -10,6 +10,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "analysis/aggregates.h"
 #include "analysis/evidence.h"
@@ -263,6 +264,22 @@ class Pipeline {
   /// identical bytes. The delta baselines (last_) are per-process state
   /// and are not merged.
   void merge_from(const Pipeline& other) TAMPER_EXCLUDES(stats_mu_);
+
+  /// The growth of this pipeline's state since `old`: writes into `growth`
+  /// (a fresh pipeline) the D with old.merge_from(D) equal to this state,
+  /// and returns false, leaving `growth` partly written, when this state
+  /// does not extend `old` (a count, a key, an overlap first state, an
+  /// evidence sample or latest_ts_sec went back). The trends ring is left
+  /// out: its kSum points are cumulative values, not sums, so D's ring is
+  /// empty and a merger re-folds rings with refold_trends(). A fleet merger
+  /// folds D into its standing merged view instead of re-folding every PoP.
+  [[nodiscard]] bool growth_since(const Pipeline& old, Pipeline& growth) const
+      TAMPER_EXCLUDES(stats_mu_);
+
+  /// Replace the trends ring with a fresh ring that folds `rings` in the
+  /// given order — what merge_from into a fresh pipeline would hold. Ring
+  /// sums are floating point, so a merger re-folds them in one fixed order.
+  void refold_trends(const std::vector<const obs::EpochRing*>& rings);
 
   /// Serialize every aggregator plus the degraded/scanner accounting into a
   /// checkpoint payload (see service::Checkpoint for the file envelope).

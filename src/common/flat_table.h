@@ -43,6 +43,13 @@ class FlatTable {
     return {&slot.value, true};
   }
 
+  /// The value for `key`, or null when absent (never inserts).
+  [[nodiscard]] const V* find(K key) const noexcept {
+    if (slots_.empty()) return nullptr;
+    const Slot& slot = slots_[probe(key)];
+    return slot.used ? &slot.value : nullptr;
+  }
+
   /// Room for `n` keys in total without a rehash.
   void reserve(std::size_t n) {
     std::size_t capacity = 16;

@@ -4,12 +4,15 @@
 #include <sstream>
 
 #include "fleet/partial.h"
+#include "obs/clock.h"
 #include "service/checkpoint.h"
 
 namespace tamper::fleet {
 
 Merger::Merger(const world::World& world, MergerConfig config)
-    : world_(world), config_(config) {}
+    : world_(world),
+      config_(config),
+      standing_(std::make_unique<analysis::Pipeline>(world)) {}
 
 Merger::~Merger() {
   if (metrics_ != nullptr) metrics_->remove_collector(collector_);
@@ -27,10 +30,28 @@ std::uint64_t Merger::watermark_locked() const {
   return max_epoch > config_.grace_epochs ? max_epoch - config_.grace_epochs : 0;
 }
 
+bool Merger::superseded_locked(const PartialHeader& h) {
+  const auto it = pops_.find(h.pop);
+  if (it == pops_.end()) return false;
+  if (h.epoch == it->second.epoch && h.sequence == it->second.sequence) {
+    ++stats_.duplicates;
+    return true;
+  }
+  if (h.sequence < it->second.sequence ||
+      (h.sequence == it->second.sequence && h.epoch < it->second.epoch)) {
+    // Partials are cumulative: newer state already landed (e.g. a spool
+    // replay arriving after a fresher delivery). Superseded, drop.
+    ++stats_.stale;
+    return true;
+  }
+  return false;
+}
+
 bool Merger::deliver(const std::string& payload) {
   {
     common::MutexLock lock(mu_);
     ++stats_.received;
+    stats_.partial_bytes += payload.size();
   }
   const DecodeResult peek = peek_partial(payload);
   if (!peek.ok) {
@@ -43,48 +64,25 @@ bool Merger::deliver(const std::string& payload) {
   const PartialHeader h = peek.header;
   {
     common::MutexLock lock(mu_);
-    const auto it = pops_.find(h.pop);
-    if (it != pops_.end()) {
-      if (h.epoch == it->second.epoch && h.sequence == it->second.sequence) {
-        ++stats_.duplicates;
-        return true;
-      }
-      if (h.sequence < it->second.sequence ||
-          (h.sequence == it->second.sequence && h.epoch < it->second.epoch)) {
-        // Partials are cumulative: newer state already landed (e.g. a spool
-        // replay arriving after a fresher delivery). Superseded, drop.
-        ++stats_.stale;
-        return true;
-      }
-    }
-    if (h.epoch.value() < watermark_locked()) ++stats_.late;  // counted, still merged
+    if (superseded_locked(h)) return true;
   }
 
   // The expensive restore happens outside the lock; concurrent PoPs decode
-  // in parallel and only the insert below serializes.
+  // in parallel, and the fold waits for a reader (refresh_view).
   auto pipeline = std::make_unique<analysis::Pipeline>(world_);
   const DecodeResult full = decode_partial(payload, *pipeline);
+  common::MutexLock lock(mu_);
   if (!full.ok) {
-    common::MutexLock lock(mu_);
     ++stats_.rejected;
     return true;
   }
-
-  common::MutexLock lock(mu_);
+  // Recheck: another delivery for this PoP may have landed while we were
+  // decoding.
+  if (superseded_locked(h)) return true;
+  // Late is counted here, once the partial is sure to be merged (late data
+  // still counts): one that is rejected, duplicate or stale is only that.
+  if (h.epoch.value() < watermark_locked()) ++stats_.late;
   PopEntry& entry = pops_[h.pop];
-  if (entry.pipeline != nullptr) {
-    // Recheck under the lock: another delivery for this PoP may have landed
-    // while we were decoding.
-    if (h.epoch == entry.epoch && h.sequence == entry.sequence) {
-      ++stats_.duplicates;
-      return true;
-    }
-    if (h.sequence < entry.sequence ||
-        (h.sequence == entry.sequence && h.epoch < entry.epoch)) {
-      ++stats_.stale;
-      return true;
-    }
-  }
   entry.epoch = h.epoch;
   entry.sequence = h.sequence;
   entry.overload = h.overload;
@@ -122,6 +120,10 @@ Merger::Stats Merger::stats() const {
 
 analysis::FleetCoverage Merger::coverage() const {
   common::MutexLock lock(mu_);
+  return coverage_locked();
+}
+
+analysis::FleetCoverage Merger::coverage_locked() const {
   analysis::FleetCoverage c;
   c.pops_expected = config_.pops_expected;
   c.pops_reporting = static_cast<std::uint32_t>(pops_.size());
@@ -187,22 +189,66 @@ analysis::FleetCoverage Merger::coverage() const {
   return c;
 }
 
+Merger::Snapshot Merger::refresh_view() const {
+  Snapshot now;
+  {
+    common::MutexLock lock(mu_);
+    for (const auto& [pop, entry] : pops_) now.states.emplace(pop, entry.pipeline);
+    now.coverage = coverage_locked();
+  }
+  if (now.states == folded_) return now;  // no partial since the last read
+
+  const std::uint64_t start = fold_seconds_ != nullptr ? obs::monotonic_clock().now_ns() : 0;
+  bool grew = true;
+  for (const auto& [pop, state] : now.states) {
+    const auto was = folded_.find(pop);
+    if (was == folded_.end()) {
+      standing_->merge_from(*state);  // a PoP's first partial is all growth
+    } else if (was->second != state) {
+      analysis::Pipeline growth(world_);
+      grew = state->growth_since(*was->second, growth);
+      if (!grew) break;
+      standing_->merge_from(growth);
+    }
+  }
+  if (grew) {
+    std::vector<const obs::EpochRing*> rings;
+    rings.reserve(now.states.size());
+    for (const auto& [pop, state] : now.states) rings.push_back(&state->trends());
+    standing_->refold_trends(rings);
+  } else {
+    // A state does not extend the one folded before it: fold every PoP
+    // afresh.
+    standing_ = std::make_unique<analysis::Pipeline>(world_);
+    for (const auto& [pop, state] : now.states) standing_->merge_from(*state);
+    common::MutexLock lock(mu_);
+    ++stats_.rebuilds;
+  }
+  folded_ = now.states;
+  if (fold_seconds_ != nullptr)
+    fold_seconds_->observe(
+        static_cast<double>(obs::monotonic_clock().now_ns() - start) * 1e-9);
+  return now;
+}
+
 std::unique_ptr<analysis::Pipeline> Merger::merged_pipeline() const {
-  auto merged = std::make_unique<analysis::Pipeline>(world_);
-  common::MutexLock lock(mu_);
-  for (const auto& [pop, entry] : pops_)
-    if (entry.pipeline != nullptr) merged->merge_from(*entry.pipeline);
-  return merged;
+  auto copy = std::make_unique<analysis::Pipeline>(world_);
+  common::MutexLock lock(view_mu_);
+  refresh_view();
+  copy->merge_from(*standing_);
+  return copy;
 }
 
 std::vector<std::uint8_t> Merger::merged_state_image() const {
-  const auto merged = merged_pipeline();
-  return service::encode_checkpoint(*merged, service::CheckpointMeta{});
+  common::MutexLock lock(view_mu_);
+  refresh_view();
+  return service::encode_checkpoint(*standing_, service::CheckpointMeta{});
 }
 
 Merger::FleetTrends Merger::fleet_trends() const {
-  const auto merged = merged_pipeline();
-  return fleet_trends(*merged, coverage());
+  common::MutexLock lock(view_mu_);
+  const Snapshot now = refresh_view();
+  return fleet_trends(*standing_, now.coverage);
 }
 
 Merger::FleetTrends Merger::fleet_trends(
@@ -232,43 +278,33 @@ Merger::FleetTrends Merger::fleet_trends(
 }
 
 std::string Merger::merged_report(analysis::ReportOptions options) const {
-  const auto merged = merged_pipeline();
-  const analysis::FleetCoverage fleet = coverage();
-  const FleetTrends trends = fleet_trends(*merged, fleet);
-  options.fleet = &fleet;
+  common::MutexLock lock(view_mu_);
+  const Snapshot now = refresh_view();
+  const FleetTrends trends = fleet_trends(*standing_, now.coverage);
+  options.fleet = &now.coverage;
   options.trend_epochs = &trends.epochs;
   options.trend_anomalies = &trends.scan.events;
   std::ostringstream out;
-  analysis::write_radar_report(out, *merged, options);
+  analysis::write_radar_report(out, *standing_, options);
   return out.str();
 }
 
 std::string Merger::timeseries_dump(bool pretty) const {
-  const auto merged = merged_pipeline();
-  const analysis::FleetCoverage fleet = coverage();
-  const FleetTrends trends = fleet_trends(*merged, fleet);
-  // Copy each reporting PoP's ring out from under the lock so the scopes
-  // below can hold stable pointers (rings are small: bounded epochs ×
-  // bounded series).
-  std::vector<std::pair<common::PopId, obs::EpochRing>> pop_rings;
-  {
-    common::MutexLock lock(mu_);
-    for (const auto& [pop, entry] : pops_)
-      if (entry.pipeline != nullptr)
-        pop_rings.emplace_back(pop, entry.pipeline->trends());
-  }
+  common::MutexLock lock(view_mu_);
+  const Snapshot now = refresh_view();
+  const FleetTrends trends = fleet_trends(*standing_, now.coverage);
   std::vector<obs::TimeseriesScope> scopes;
-  scopes.reserve(1 + pop_rings.size());
+  scopes.reserve(1 + now.states.size());
   obs::TimeseriesScope fleet_scope;
   fleet_scope.name = "fleet";
-  fleet_scope.ring = &merged->trends();
+  fleet_scope.ring = &standing_->trends();
   fleet_scope.epochs = trends.epochs;
   fleet_scope.anomalies = trends.scan.events;
   scopes.push_back(fleet_scope);
-  for (const auto& [pop, ring] : pop_rings) {
+  for (const auto& [pop, state] : now.states) {
     obs::TimeseriesScope scope;
     scope.name = common::format(pop);
-    scope.ring = &ring;
+    scope.ring = &state->trends();
     scopes.push_back(scope);
   }
   std::ostringstream out;
@@ -281,6 +317,17 @@ std::string Merger::timeseries_dump(bool pretty) const {
 void Merger::set_obs(obs::Registry* metrics) {
   if (metrics_ != nullptr) metrics_->remove_collector(collector_);
   metrics_ = metrics;
+  obs::Histogram* fold_seconds =
+      metrics == nullptr ? nullptr
+                         : &metrics
+                                ->histogram_family("tamper_stage_seconds",
+                                                   "Wall time per ledger stage", {"stage"},
+                                                   obs::duration_buckets())
+                                .with({"fold"});
+  {
+    common::MutexLock lock(view_mu_);
+    fold_seconds_ = fold_seconds;
+  }
   if (metrics == nullptr) return;
   obs::Registry& m = *metrics;
   auto& partials_family = m.counter_family(
@@ -294,6 +341,11 @@ void Merger::set_obs(obs::Registry* metrics) {
   obs::Counter* rejected = &partials_family.with({"rejected"});
   obs::Counter* skew = &m.counter("tamper_fleet_skew_detected_total",
                                   "Bounded-skew guard trips (PoP clock suspect)");
+  obs::Counter* rebuilds = &m.counter(
+      "tamper_fleet_rebuilds_total",
+      "Standing merged view re-folded from every PoP (a partial refused growth)");
+  obs::Counter* partial_bytes =
+      &m.counter("tamper_fleet_partial_bytes_total", "Bytes of partials received");
   obs::Gauge* reporting =
       &m.gauge("tamper_fleet_pops_reporting", "PoPs with any partial received");
   obs::Gauge* expected = &m.gauge("tamper_fleet_pops_expected", "PoPs configured");
@@ -322,6 +374,8 @@ void Merger::set_obs(obs::Registry* metrics) {
     late->increment_to(s.late);
     rejected->increment_to(s.rejected);
     skew->increment_to(s.skew_detected);
+    rebuilds->increment_to(s.rebuilds);
+    partial_bytes->increment_to(s.partial_bytes);
     reporting->set(static_cast<double>(pop_count));
     expected->set(static_cast<double>(config_.pops_expected));
     watermark->set(static_cast<double>(mark));

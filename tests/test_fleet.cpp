@@ -1,24 +1,29 @@
 // Fleet suite: anycast routing laws, the partial wire codec, the monoid
 // laws every aggregator must obey (associativity / commutativity /
 // identity — the reason shard count and arrival order can never change the
-// merged bytes), merger idempotence and coverage accounting, fleet-vs-
-// monolith equivalence, checkpoint resume with no duplicate and no gap,
-// and the >= 50-seed chaos campaigns pinning the two fleet invariants:
+// merged bytes), the growth law behind the merger's standing view, merger
+// idempotence and coverage accounting, fleet-vs-monolith equivalence,
+// checkpoint resume with no duplicate and no gap, and the >= 50-seed chaos
+// campaigns pinning the two fleet invariants:
 // byte-identical output when the surviving coverage set is identical,
 // explicit degradation when it is not.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <map>
 #include <numeric>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/pipeline.h"
+#include "common/binio.h"
 #include "common/ids.h"
+#include "common/rng.h"
 #include "capture/sample.h"
 #include "control/overload.h"
 #include "fault/chaos.h"
@@ -27,6 +32,7 @@
 #include "fleet/merger.h"
 #include "fleet/partial.h"
 #include "net/ip_address.h"
+#include "obs/metrics.h"
 #include "service/checkpoint.h"
 #include "world/anycast.h"
 #include "world/traffic.h"
@@ -330,6 +336,176 @@ TEST_F(MonoidLaws, FreshPipelineIsTheIdentity) {
 }
 
 // ---------------------------------------------------------------------------
+// Growth law — what lets the merger fold in only what a PoP added
+// ---------------------------------------------------------------------------
+
+/// For S and a later state S' of the same stream: S ⊕ growth(S, S') == S'.
+class GrowthLaws : public ::testing::Test {
+ protected:
+  /// The first `k` samples of seed `seed`'s stream, with reader counters
+  /// that grow with it (so the degraded block has growth too).
+  static std::unique_ptr<analysis::Pipeline> prefix(std::uint64_t seed, std::size_t k) {
+    auto p = std::make_unique<analysis::Pipeline>(shared_world());
+    const auto samples = generate_samples(600, seed);
+    for (std::size_t i = 0; i < k; ++i) p->ingest(samples[i]);
+    p->record_reader_stats({.skipped_unparseable = k / 7, .skipped_truncated = k / 11});
+    return p;
+  }
+
+  static std::unique_ptr<analysis::Pipeline> restored(const std::vector<std::uint8_t>& image) {
+    auto p = std::make_unique<analysis::Pipeline>(shared_world());
+    common::BinReader r(image);
+    p->restore(r);
+    return p;
+  }
+
+  static std::vector<std::uint8_t> snapshot_of(const analysis::Pipeline& p) {
+    common::BinWriter w;
+    p.snapshot(w);
+    return w.take();
+  }
+};
+
+TEST_F(GrowthLaws, AStateAndItsGrowthFoldToTheLaterState) {
+  for (const std::uint64_t seed : {0x100u, 0x101u, 0x102u}) {
+    for (const auto& [k, m] : std::vector<std::pair<std::size_t, std::size_t>>{
+             {0, 50}, {40, 1}, {150, 200}, {300, 300}, {599, 1}}) {
+      const auto old = prefix(seed, k);
+      const auto now = prefix(seed, k + m);
+      analysis::Pipeline growth(shared_world());
+      ASSERT_TRUE(now->growth_since(*old, growth)) << "seed " << seed << " k " << k;
+      old->merge_from(growth);
+      EXPECT_EQ(state_bytes(*old), state_bytes(*now)) << "seed " << seed << " k " << k;
+    }
+  }
+}
+
+TEST_F(GrowthLaws, AStateHasNoGrowthSinceItself) {
+  const auto state = prefix(0x103, 400);
+  analysis::Pipeline growth(shared_world());
+  ASSERT_TRUE(state->growth_since(*state, growth));
+  EXPECT_EQ(state_bytes(growth), state_bytes(analysis::Pipeline(shared_world())));
+}
+
+TEST_F(GrowthLaws, AnEarlierStateIsNoGrowth) {
+  const auto old = prefix(0x104, 300);
+  const auto now = prefix(0x104, 200);  // every count at most old's
+  analysis::Pipeline growth(shared_world());
+  EXPECT_FALSE(now->growth_since(*old, growth));
+}
+
+TEST_F(GrowthLaws, RefusesASmallerCountOrAMissingRow) {
+  analysis::ConnectionRecord cn;
+  cn.country = "CN";
+  cn.asn = common::AsnId(4134);
+  analysis::ConnectionRecord us = cn;
+  us.country = "US";
+  us.asn = common::AsnId(7018);
+
+  analysis::SignatureMatrix two_cn, one_cn;
+  two_cn.add(cn);
+  two_cn.add(cn);
+  one_cn.add(cn);
+  analysis::SignatureMatrix growth;
+  EXPECT_FALSE(one_cn.growth_since(two_cn, growth));  // CN's count fell
+  analysis::SignatureMatrix grown;
+  ASSERT_TRUE(two_cn.growth_since(one_cn, grown));
+  EXPECT_EQ(grown.country_connections("CN"), 1u);
+
+  // More connections in all, but US's row is gone.
+  analysis::AsnAggregator old_asns, new_asns;
+  old_asns.add(cn);
+  old_asns.add(us);
+  for (int i = 0; i < 3; ++i) new_asns.add(cn);
+  analysis::AsnAggregator asn_growth;
+  EXPECT_FALSE(new_asns.growth_since(old_asns, asn_growth));
+
+  analysis::TimeSeries old_hours, new_hours;
+  cn.first_ts_sec = 3600;
+  old_hours.add(cn);
+  cn.first_ts_sec = 7200;
+  new_hours.add(cn);
+  new_hours.add(cn);
+  analysis::TimeSeries hour_growth;
+  EXPECT_FALSE(new_hours.growth_since(old_hours, hour_growth));  // hour 1 vanished
+
+  // Categories: a count that fell for one (country, domain) refuses.
+  const auto lookup = [](const std::string&) -> std::optional<world::Category> {
+    return std::nullopt;
+  };
+  analysis::CategoryAggregator old_domains(lookup), new_domains(lookup), domain_growth(lookup);
+  cn.domain = "a.example";
+  old_domains.add(cn);
+  old_domains.add(cn);
+  new_domains.add(cn);
+  cn.domain = "b.example";
+  new_domains.add(cn);
+  new_domains.add(cn);
+  EXPECT_FALSE(new_domains.growth_since(old_domains, domain_growth));
+}
+
+TEST_F(GrowthLaws, RefusesAnOverlapPairWithADifferentFirstState) {
+  analysis::ConnectionRecord clean;
+  clean.domain = "a.example";
+  clean.client_ip_hash = 42;
+  analysis::ConnectionRecord tampered = clean;
+  tampered.classification.possibly_tampered = true;
+  tampered.classification.signature = core::Signature::kPshRst;
+
+  analysis::OverlapMatrix old, now;
+  old.add(clean);
+  now.add(tampered);  // the same pair, first seen tampered
+  now.add(clean);
+  analysis::OverlapMatrix growth;
+  EXPECT_FALSE(now.growth_since(old, growth));
+
+  analysis::OverlapMatrix later = old;
+  later.add(tampered);
+  analysis::OverlapMatrix grown;
+  ASSERT_TRUE(later.growth_since(old, grown));
+  EXPECT_EQ(grown.count(analysis::OverlapMatrix::kStates - 1,
+                        static_cast<std::size_t>(core::Signature::kPshRst)),
+            1u);
+}
+
+TEST_F(GrowthLaws, RefusesAMissingEvidenceSample) {
+  // Hand-built images: cap, then every IP-ID bucket, then every TTL bucket.
+  const auto image = [](std::vector<double> first_bucket) {
+    common::BinWriter w;
+    w.u64(1000);
+    for (std::size_t b = 0; b < 2 * analysis::EvidenceCollector::kBuckets; ++b) {
+      const std::vector<double> samples = b == 0 ? first_bucket : std::vector<double>{};
+      w.u64(samples.size());
+      for (const double v : samples) w.f64(v);
+    }
+    analysis::EvidenceCollector evidence;
+    common::BinReader r(w.bytes());
+    evidence.restore(r);
+    return evidence;
+  };
+  const analysis::EvidenceCollector old = image({1.0, 2.0});
+  analysis::EvidenceCollector growth;
+  EXPECT_FALSE(image({1.0, 3.0, 4.0}).growth_since(old, growth));  // 2.0 is gone
+
+  analysis::EvidenceCollector grown;
+  ASSERT_TRUE(image({5.0, 2.0, 1.0, 2.0}).growth_since(old, grown));
+  EXPECT_EQ(grown.ipid_cdf(0).sorted_samples(), (std::vector<double>{2.0, 5.0}));
+}
+
+TEST_F(GrowthLaws, RefusesALowerLatestTimestamp) {
+  const auto old = prefix(0x105, 100);
+  // A later state of the same stream, with latest_ts_sec (the i64 after
+  // the degraded and scanner counters) set back to 0.
+  std::vector<std::uint8_t> image = snapshot_of(*prefix(0x105, 200));
+  const std::size_t at = 8 * (analysis::kDegradedCauses.size() + 5);
+  std::fill_n(image.begin() + static_cast<std::ptrdiff_t>(at), 8, std::uint8_t{0});
+  const auto rewound = restored(image);
+  ASSERT_EQ(rewound->latest_ts_sec(), 0);
+  analysis::Pipeline growth(shared_world());
+  EXPECT_FALSE(rewound->growth_since(*old, growth));
+}
+
+// ---------------------------------------------------------------------------
 // Merger: idempotence, straggler classification, coverage
 // ---------------------------------------------------------------------------
 
@@ -630,6 +806,256 @@ TEST_F(MergerTest, TrendsRingSurvivesTheCheckpointRoundTripByteStably) {
   EXPECT_EQ(state_bytes(restored), first);
   EXPECT_EQ(restored.trends().series().size(), pipeline.trends().series().size());
   EXPECT_EQ(restored.trends().max_epoch(), pipeline.trends().max_epoch());
+}
+
+// ---------------------------------------------------------------------------
+// The standing merged view: growth folds, rebuilds, concurrency, metrics
+// ---------------------------------------------------------------------------
+
+/// One PoP's stream: partial(k) is the PoP's cumulative state after the
+/// stream's first k samples, trends sampled every 50 samples as the service
+/// worker does at its boundaries.
+struct PopStream {
+  std::uint32_t pop = 0;
+  std::vector<capture::ConnectionSample> samples;
+
+  [[nodiscard]] std::string partial(std::size_t k, std::uint64_t sequence,
+                                    std::uint64_t epoch) const {
+    analysis::Pipeline p(shared_world());
+    for (std::size_t i = 0; i < k; ++i) {
+      p.ingest(samples[i]);
+      if ((i + 1) % 50 == 0) p.sample_trends();
+    }
+    p.sample_trends();
+    return fleet::encode_partial({PopId(pop), EpochId(epoch), sequence, {}}, p);
+  }
+};
+
+std::vector<PopStream> pop_streams(std::uint32_t pops, std::size_t samples,
+                                   std::uint64_t seed) {
+  std::vector<PopStream> out;
+  for (std::uint32_t p = 0; p < pops; ++p)
+    out.push_back({p, generate_samples(samples, seed + p)});
+  return out;
+}
+
+/// The fold the standing view must equal: each PoP's current partial,
+/// decoded and merged in ascending PoP id into a fresh pipeline.
+std::vector<std::uint8_t> fresh_fold_image(
+    const std::map<std::uint32_t, std::string>& current) {
+  analysis::Pipeline merged(shared_world());
+  for (const auto& [pop, wire] : current) {
+    analysis::Pipeline p(shared_world());
+    EXPECT_TRUE(fleet::decode_partial(wire, p).ok);
+    merged.merge_from(p);
+  }
+  return state_bytes(merged);
+}
+
+/// A merger that sees each PoP's current partial once, so it folds whole
+/// pipelines and never a growth.
+std::unique_ptr<fleet::Merger> fresh_merger(
+    const fleet::MergerConfig& config,
+    const std::map<std::uint32_t, std::string>& current) {
+  auto merger = std::make_unique<fleet::Merger>(shared_world(), config);
+  for (const auto& [pop, wire] : current) EXPECT_TRUE(merger->deliver(wire));
+  return merger;
+}
+
+/// A valid envelope (magic, version, header, checksum) over a body that
+/// fails restore: one u64 where the snapshot's counters begin, then nothing.
+std::string unrestorable_partial(std::uint32_t pop, std::uint64_t epoch,
+                                 std::uint64_t sequence) {
+  common::BinWriter w;
+  for (const char c : fleet::kPartialMagic) w.u8(static_cast<std::uint8_t>(c));
+  w.u32(fleet::kPartialVersion);
+  w.u32(pop);
+  w.u64(epoch);
+  w.u64(sequence);
+  w.u8(0);   // overload level
+  w.u64(0);  // shed samples
+  w.i64(0);  // first shed
+  const std::size_t body = w.begin_block();
+  w.u64(1);
+  w.end_block(body);
+  return {reinterpret_cast<const char*>(w.bytes().data()), w.size()};
+}
+
+/// Seeded random deliveries over 4 PoPs, read back after every
+/// `read_every`-th one and after the last: each read must equal a fold of
+/// the current partial set, however many partials arrived since the last.
+void expect_standing_view_equals_fresh_fold(int read_every) {
+  constexpr std::uint32_t kPops = 4;
+  const std::vector<PopStream> streams = pop_streams(kPops, 240, 0xb000);
+  const fleet::MergerConfig config{.pops_expected = kPops, .grace_epochs = 1};
+  fleet::Merger merger(shared_world(), config);
+  // PoP 3's epochs trail the others', so its partials arrive late.
+  const auto epoch_of = [](std::uint32_t pop, std::uint64_t sequence) {
+    return pop == 3 ? sequence / 80 : 5 + sequence / 40;
+  };
+
+  std::map<std::uint32_t, std::string> current;  ///< accepted partial per PoP
+  std::vector<std::string> superseded(kPops);    ///< an older accepted one
+  std::vector<std::size_t> fed(kPops, 0);
+  std::vector<std::uint64_t> sequence(kPops, 0);
+  std::uint64_t rng = 0x5eed;
+  const auto next = [&rng] { return common::splitmix64(rng); };
+  std::uint64_t regressions = 0;
+  for (int step = 0; step < 48; ++step) {
+    auto pop = static_cast<std::uint32_t>(next() % kPops);
+    const std::uint64_t kind = next() % 8;
+    const bool regress = step == 20 || step == 36;
+    if (regress)
+      pop = static_cast<std::uint32_t>(std::max_element(fed.begin(), fed.end()) - fed.begin());
+    std::string wire;
+    bool merges = false;
+    if (regress) {
+      // A newer sequence over less state (a PoP restarted from an older
+      // checkpoint): growth is refused and the view is rebuilt.
+      fed[pop] -= std::min<std::size_t>(fed[pop], 40);
+      sequence[pop] += 1;
+      ++regressions;
+      merges = true;
+    } else if (kind == 0 && current.count(pop) != 0) {
+      wire = current[pop];  // duplicate
+    } else if (kind == 1 && !superseded[pop].empty()) {
+      wire = superseded[pop];  // stale
+    } else if (kind == 2) {
+      wire = streams[pop].partial(std::min<std::size_t>(fed[pop] + 5, 240),
+                                  sequence[pop] + 5, epoch_of(pop, sequence[pop] + 5));
+      wire[wire.size() - 12] ^= 0x10;  // corrupt: fails the checksum
+    } else if (kind == 3) {
+      // Valid envelope, body fails restore: rejected.
+      wire = unrestorable_partial(pop, epoch_of(pop, sequence[pop] + 1), sequence[pop] + 1);
+    } else {
+      fed[pop] = std::min<std::size_t>(fed[pop] + 1 + next() % 30, 240);
+      sequence[pop] += 1 + next() % 30;
+      merges = true;
+    }
+    if (merges) {
+      wire = streams[pop].partial(fed[pop], sequence[pop], epoch_of(pop, sequence[pop]));
+      if (current.count(pop) != 0) superseded[pop] = current[pop];
+      current[pop] = wire;
+    }
+    EXPECT_TRUE(merger.deliver(wire));
+    if (step % read_every != 0 && step != 47) continue;
+    ASSERT_EQ(merger.merged_state_image(), fresh_fold_image(current)) << "step " << step;
+    const auto fresh = fresh_merger(config, current);
+    ASSERT_EQ(merger.merged_report(), fresh->merged_report()) << "step " << step;
+    ASSERT_EQ(merger.timeseries_dump(), fresh->timeseries_dump()) << "step " << step;
+  }
+  const fleet::Merger::Stats s = merger.stats();
+  if (read_every == 1) {
+    EXPECT_EQ(s.rebuilds, regressions);  // every genuine growth was folded as one
+  } else {
+    // A regression that later partials outgrow before the next read is
+    // folded as a growth, so rebuilds can be fewer.
+    EXPECT_LE(s.rebuilds, regressions);
+  }
+  EXPECT_GT(s.duplicates, 0u);
+  EXPECT_GT(s.stale, 0u);
+  EXPECT_GT(s.rejected, 0u);
+  EXPECT_GT(s.late, 0u);
+  EXPECT_EQ(s.received, s.accepted + s.duplicates + s.stale + s.rejected);
+}
+
+TEST_F(MergerTest, StandingViewEqualsAFreshFold) { expect_standing_view_equals_fresh_fold(1); }
+
+TEST_F(MergerTest, RareReadsFoldEveryPartialSinceTheLastRead) {
+  expect_standing_view_equals_fresh_fold(7);
+}
+
+TEST_F(MergerTest, LateIsCountedOnlyWhenMerged) {
+  fleet::Merger merger(shared_world(), {.pops_expected = 3, .grace_epochs = 1});
+  EXPECT_TRUE(merger.deliver(partial(1, 20, 200, 50)));  // watermark -> 19
+  // Behind the watermark, checksummed, but its body fails restore.
+  EXPECT_TRUE(merger.deliver(unrestorable_partial(0, 10, 100)));
+  fleet::Merger::Stats s = merger.stats();
+  EXPECT_EQ(s.rejected, 1u);
+  EXPECT_EQ(s.late, 0u);
+
+  EXPECT_TRUE(merger.deliver(partial(0, 10, 100, 50)));  // late, merged
+  EXPECT_TRUE(merger.deliver(partial(0, 10, 100, 50)));  // duplicate
+  EXPECT_TRUE(merger.deliver(partial(0, 9, 60, 30)));    // late and stale
+  EXPECT_TRUE(merger.deliver("not a partial"));
+  EXPECT_TRUE(merger.deliver(partial(2, 21, 10, 20)));
+  s = merger.stats();
+  EXPECT_EQ(s.late, 1u);
+  EXPECT_EQ(s.accepted, 3u);
+  EXPECT_EQ(s.received, s.accepted + s.duplicates + s.stale + s.rejected);
+  EXPECT_LE(s.late, s.accepted);
+}
+
+TEST_F(MergerTest, ConcurrentDeliveriesAndReportsAgree) {
+  constexpr std::uint32_t kPops = 4;
+  constexpr std::size_t kSteps = 5;
+  const std::vector<PopStream> streams = pop_streams(kPops, 30 * kSteps, 0xc000);
+  std::vector<std::vector<std::string>> wires(kPops);
+  std::map<std::uint32_t, std::string> last;
+  for (std::uint32_t p = 0; p < kPops; ++p) {
+    for (std::size_t i = 1; i <= kSteps; ++i)
+      wires[p].push_back(streams[p].partial(30 * i, 30 * i, 4 + i));
+    last[p] = wires[p].back();
+  }
+  const fleet::MergerConfig config{.pops_expected = kPops};
+  fleet::Merger merger(shared_world(), config);
+
+  std::atomic<bool> delivering{true};
+  std::thread reader([&] {
+    while (delivering.load()) {
+      EXPECT_FALSE(merger.merged_report().empty());
+      EXPECT_FALSE(merger.merged_state_image().empty());
+    }
+  });
+  std::vector<std::thread> pops;
+  for (std::uint32_t p = 0; p < kPops; ++p)
+    pops.emplace_back([&, p] {
+      for (const std::string& wire : wires[p]) EXPECT_TRUE(merger.deliver(wire));
+    });
+  for (std::thread& t : pops) t.join();
+  delivering.store(false);
+  reader.join();
+
+  const fleet::Merger::Stats s = merger.stats();
+  EXPECT_EQ(s.accepted, kPops * kSteps);
+  EXPECT_EQ(s.rebuilds, 0u);
+  EXPECT_EQ(merger.merged_state_image(), fresh_fold_image(last));
+  EXPECT_EQ(merger.merged_report(), fresh_merger(config, last)->merged_report());
+}
+
+TEST_F(MergerTest, FoldMetricsAreReadFromTheRegistry) {
+  const std::vector<PopStream> streams = pop_streams(2, 120, 0xd000);
+  const std::vector<std::string> wires = {
+      streams[0].partial(60, 60, 3),
+      streams[1].partial(80, 80, 3),
+      streams[0].partial(120, 120, 4),
+      streams[0].partial(90, 121, 4),  // regressing: refuses growth
+  };
+  obs::Registry registry;
+  fleet::Merger merger(shared_world(), {.pops_expected = 2});
+  merger.set_obs(&registry);
+  double bytes = 0;
+  for (const std::string& wire : wires) {
+    EXPECT_TRUE(merger.deliver(wire));
+    bytes += static_cast<double>(wire.size());
+    EXPECT_FALSE(merger.merged_state_image().empty());
+  }
+  EXPECT_TRUE(merger.deliver("not a partial"));
+  bytes += static_cast<double>(std::string("not a partial").size());
+  EXPECT_FALSE(merger.merged_state_image().empty());  // nothing new to fold
+
+  registry.refresh();
+  double rebuilds = -1;
+  ASSERT_TRUE(registry.read_family_total("tamper_fleet_rebuilds_total", &rebuilds));
+  EXPECT_EQ(rebuilds, 1.0);
+  double partial_bytes = -1;
+  ASSERT_TRUE(
+      registry.read_family_total("tamper_fleet_partial_bytes_total", &partial_bytes));
+  EXPECT_EQ(partial_bytes, bytes);
+  // One fold observation per read that found a new partial: the first
+  // partials, the growth and the rebuild; the last read folded nothing.
+  EXPECT_NE(registry.prometheus_text().find("tamper_stage_seconds_count{stage=\"fold\"} 4"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

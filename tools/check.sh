@@ -40,7 +40,8 @@ for arg in "$@"; do
     --sanitizer=*) SANITIZER="${arg#--sanitizer=}" ;;
     --lint-only) LINT_ONLY=1 ;;
     --help|-h)
-      sed -n '2,30p' "$0" | sed 's/^# \{0,1\}//'
+      # The leading comment block, up to the first line that is not a comment.
+      awk 'NR == 1 { next } !/^#/ { exit } { sub(/^# ?/, ""); print }' "$0"
       exit 0
       ;;
     *) ARGS+=("$arg") ;;
